@@ -205,11 +205,6 @@ class BusSegment:
     def idle(self) -> bool:
         return self.in_flight is None and not self.pending
 
-    def transactions_of(self, master_id: int) -> int:
-        return self.master_reads.get(master_id, 0) + self.master_writes.get(
-            master_id, 0
-        )
-
 
 class BusModel:
     """All segments plus the master-id space shared across them."""
@@ -230,11 +225,9 @@ class BusModel:
     def segment(self, seg_id: int) -> BusSegment:
         return self.segments[seg_id]
 
-    def step(self, t: int) -> list[BusTransaction]:
-        done: list[BusTransaction] = []
+    def step(self, t: int) -> None:
         for seg in self.segments:
-            done.extend(seg.step(t))
-        return done
+            seg.step(t)
 
     @property
     def idle(self) -> bool:

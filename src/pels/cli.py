@@ -161,11 +161,12 @@ def _parse_int_list(spec: str) -> list[int]:
 
 def _cmd_sweep(args) -> int:
     try:
-        results = harness.sweep(
-            args.scenario,
-            _parse_int_list(args.links),
-            _parse_int_list(args.scm_lines),
-        )
+        links = _parse_int_list(args.links)
+        scm_lines = _parse_int_list(args.scm_lines)
+    except ValueError as e:
+        return _fail(f"--links/--scm-lines: {e}")
+    try:
+        results = harness.sweep(args.scenario, links, scm_lines)
     except harness.ConfigError as e:
         return _fail(str(e))
     print(f"{'links':>5} {'scm':>4} {'ok':>3} {'cycles':>7} "

@@ -18,13 +18,30 @@ A scenario is a JSON document (or an equivalent dict):
         {"type": "timer",  "name": "t0", "base_address": "0x40002000",
          "period": 10, "enabled": true, "event_line": 3},
         {"type": "sensor", "name": "s0", "base_address": "0x40003000",
-         "schedule": [[5, 100]], "event_line": 2}
+         "schedule": [[5, 100]], "event_line": 2, "triggered": false,
+         "trigger_line": null}
       ],
       "baseline": {"interrupt_entry_cycles": 10, "handler_cycles": 6,
                    "memory_fetches_per_handler": 16, "event_mask": "0x4",
                    "peripheral_txns_per_event": 2},
       "stimuli": [[0, 0, 1]]
     }
+
+load_scenario reads every value through a typed reader and raises
+ConfigError naming the bad field, e.g. `links[0].enabled`; a bad row of
+`stimuli` or `schedule` is named by its list.
+
+- Numbers are integers or integer-literal strings ("0x40") within
+  0..2^32-1, or narrower: fabric lines 1..8192, bus segments 1..16,
+  `scm_lines` 1..256, `fifo_depth` 1..16, `pins` 0..32, `size_words`
+  1..65536, stimulus levels 0..1, `clock_limit` and `transfer_cycles`
+  from 1. Masks, lines and segments must exist; at most 8 links.
+- Flags (`enabled`, `triggered`) are JSON true or false.
+- Addresses are word aligned.
+- A program must assemble and fit its link's `scm_lines`.
+
+Overlapping register blocks are reported by the Simulation constructor,
+also as ConfigError; every other error is reported at load.
 
 Stimuli are (cycle, input line, level) settings of held level lines;
 peripheral event outputs are one-cycle pulses. Each cycle runs in a
@@ -45,13 +62,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .asm import AsmError, Program, assemble_text, validate_against_capacity
+from .asm import (
+    MAX_PROGRAM_LENGTH,
+    AsmError,
+    Program,
+    assemble_text,
+    validate_against_capacity,
+)
 from .bus import BusModel
 from .core import EventFabric, FsmState, Link, LinkConfig, TriggerMode
+from .isa import ACTION_GROUP_WIDTH
 from .periph import (
     BaselineCpu,
     BaselineCpuModel,
@@ -68,6 +92,14 @@ TRACE_FORMAT_VERSION = 1
 # Record kinds included at the "grants" trace level.
 _GRANT_KINDS = frozenset({"header", "bus", "error", "end"})
 
+MAX_LINKS = 8
+_WORD_MAX = 0xFFFF_FFFF
+# Action commands address at most 256 groups of output lines; inputs
+# share the bound so that masks stay small integers.
+_MAX_FABRIC_LINES = 256 * ACTION_GROUP_WIDTH
+_MAX_SEGMENTS = 16
+_MAX_REGS_WORDS = 1 << 16
+
 
 class ConfigError(Exception):
     """Invalid scenario; `location` names the offending field."""
@@ -79,6 +111,89 @@ class ConfigError(Exception):
 
 class MismatchedStimulus(Exception):
     """compare() was given reports produced from different stimuli."""
+
+
+# -- typed readers: every scenario value passes through one of these ----
+
+def _obj(value, location: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(location, f"expected an object, got {value!r}")
+    return value
+
+
+def _list(value, location: str, max_len: Optional[int] = None) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(location, f"expected a list, got {value!r}")
+    if max_len is not None and len(value) > max_len:
+        raise ConfigError(location, f"more than the supported {max_len} entries")
+    return value
+
+
+def _int(value, location: str, lo: int = 0, hi: int = _WORD_MAX) -> int:
+    """An integer, or a string holding a Python integer literal, within lo..hi."""
+    if type(value) is not int:  # also rejects bool
+        if type(value) is not str:
+            raise ConfigError(location, f"expected an integer, got {value!r}")
+        try:
+            value = int(value, 0)
+        except ValueError:
+            raise ConfigError(location, f"expected an integer, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise ConfigError(location, f"must be within {lo}..{hi}")
+    return value
+
+
+def _flag(value, location: str) -> bool:
+    if value is not True and value is not False:
+        raise ConfigError(location, f"expected true or false, got {value!r}")
+    return value
+
+
+def _str(value, location: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(location, f"expected a string, got {value!r}")
+    return value
+
+
+def _line(value, location: str, n_inputs: int) -> Optional[int]:
+    return None if value is None else _int(value, location, 0, n_inputs - 1)
+
+
+def _schedule(value, location: str, n_inputs: int) -> list[tuple[int, int]]:
+    pairs = []
+    for entry in _list(value, location):
+        match entry:
+            case [cycle, sample]:
+                pairs.append((_int(cycle, location), _int(sample, location)))
+            case _:
+                raise ConfigError(location, f"expected [cycle, value], got {entry!r}")
+    return pairs
+
+
+# Peripheral parameter readers, called as (value, location, fabric inputs).
+# Absent keys take the block constructor's default; the constructors own
+# the word-alignment and non-empty size_words rules.
+_PARAMS = {
+    "pins": lambda v, loc, n: _int(v, loc, 0, 32),
+    "size_words": lambda v, loc, n: _int(v, loc, hi=_MAX_REGS_WORDS),
+    "period": lambda v, loc, n: _int(v, loc),
+    "enabled": lambda v, loc, n: _flag(v, loc),
+    "triggered": lambda v, loc, n: _flag(v, loc),
+    "event_line": _line,
+    "trigger_line": _line,
+    "schedule": _schedule,
+}
+
+# Peripheral type -> (block class, scenario keys passed to its constructor).
+_PERIPHERALS = {
+    "gpio": (Gpio, ("pins",)),
+    "regs": (Regs, ("size_words",)),
+    "timer": (Timer, ("period", "enabled", "event_line")),
+    "sensor": (Sensor, ("schedule", "event_line", "triggered", "trigger_line")),
+}
+
+_BASELINE_COUNTS = ("interrupt_entry_cycles", "handler_cycles",
+                    "memory_fetches_per_handler", "peripheral_txns_per_event")
 
 
 @dataclass
@@ -101,15 +216,8 @@ class PeripheralSpec:
     params: dict = field(default_factory=dict)
 
     def build(self) -> RegisterBlock:
-        if self.kind == "gpio":
-            return Gpio(self.name, self.base_address, **self.params)
-        if self.kind == "regs":
-            return Regs(self.name, self.base_address, **self.params)
-        if self.kind == "timer":
-            return Timer(self.name, self.base_address, **self.params)
-        if self.kind == "sensor":
-            return Sensor(self.name, self.base_address, **self.params)
-        raise ConfigError("peripherals", f"unknown peripheral type {self.kind!r}")
+        block_class, _ = _PERIPHERALS[self.kind]
+        return block_class(self.name, self.base_address, **self.params)
 
 
 @dataclass
@@ -147,50 +255,22 @@ class Scenario:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _num(value, location: str) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(location, "expected a number")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 0)
-        except ValueError:
-            pass
-    raise ConfigError(location, f"expected a number, got {value!r}")
-
 
 def _load_program(spec, base_dir: Path, location: str, scm_lines: int) -> Program:
-    if isinstance(spec, Program):
-        prog = spec
-    elif isinstance(spec, str):
-        path = Path(spec)
-        if not path.is_absolute():
-            path = base_dir / path
-        if not path.exists():
-            raise ConfigError(location, f"program file not found: {path}")
-        try:
-            prog = assemble_text(path.read_text())
-        except AsmError as e:
-            raise ConfigError(location, f"{path}: {e}")
-    elif isinstance(spec, dict) and "source" in spec:
-        try:
-            prog = assemble_text(spec["source"])
-        except AsmError as e:
-            raise ConfigError(location, str(e))
+    if isinstance(spec, dict):
+        text = _str(spec.get("source"), f"{location}.source")
     else:
-        raise ConfigError(location, "program must be a path or {'source': ...}")
+        path = base_dir / _str(spec, location)
+        try:
+            text = path.read_text()
+        except (OSError, ValueError) as e:
+            raise ConfigError(location, f"cannot read {path}: {e}") from None
     try:
+        prog = assemble_text(text)
         validate_against_capacity(prog, scm_lines)
     except AsmError as e:
-        raise ConfigError(location, str(e))
+        raise ConfigError(location, str(e)) from None
     return prog
-
-
-_TRIGGER_MODES = {
-    "any": TriggerMode.ANY_SELECTED_ACTIVE,
-    "all": TriggerMode.ALL_SELECTED_ACTIVE,
-}
 
 
 def load_scenario(source: Union[dict, str, Path],
@@ -200,154 +280,105 @@ def load_scenario(source: Union[dict, str, Path],
         path = Path(source)
         try:
             raw = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigError(str(source), "scenario file not found")
-        except json.JSONDecodeError as e:
-            raise ConfigError(str(source), f"invalid JSON: {e}")
+        except (OSError, ValueError) as e:
+            raise ConfigError(str(source), f"cannot read scenario: {e}") from None
         base_dir = path.parent
     else:
         raw = source
         base_dir = Path(base_dir) if base_dir else Path.cwd()
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario", "top level must be an object")
+    raw = _obj(raw, "scenario")
 
-    sc = Scenario()
-    sc.source_digest = hashlib.sha256(
-        json.dumps(raw, sort_keys=True, default=str).encode()
-    ).hexdigest()
-    sc.clock_limit = _num(raw.get("clock_limit", 10_000), "clock_limit")
-    if sc.clock_limit < 1:
-        raise ConfigError("clock_limit", "must be at least 1")
+    fab = _obj(raw.get("fabric", {}), "fabric")
+    n_in = _int(fab.get("inputs", 32), "fabric.inputs", 1, _MAX_FABRIC_LINES)
+    n_out = _int(fab.get("outputs", 32), "fabric.outputs", 1, _MAX_FABRIC_LINES)
+    mask_max = (1 << n_in) - 1
+    bus = _obj(raw.get("bus", {}), "bus")
+    n_seg = _int(bus.get("segments", 1), "bus.segments", 1, _MAX_SEGMENTS)
+    sc = Scenario(
+        clock_limit=_int(raw.get("clock_limit", 10_000), "clock_limit", 1),
+        fabric_inputs=n_in,
+        fabric_outputs=n_out,
+        loopback={
+            _int(out_line, "fabric.loopback", 0, n_out - 1):
+                _int(in_line, "fabric.loopback", 0, n_in - 1)
+            for out_line, in_line in
+            _obj(fab.get("loopback", {}), "fabric.loopback").items()
+        },
+        bus_segments=n_seg,
+        transfer_cycles=_int(bus.get("transfer_cycles", 2), "bus.transfer_cycles", 1),
+        source_digest=hashlib.sha256(
+            json.dumps(raw, sort_keys=True, default=str).encode()).hexdigest(),
+    )
 
-    fab = raw.get("fabric", {})
-    sc.fabric_inputs = _num(fab.get("inputs", 32), "fabric.inputs")
-    sc.fabric_outputs = _num(fab.get("outputs", 32), "fabric.outputs")
-    if sc.fabric_inputs < 1 or sc.fabric_outputs < 1:
-        raise ConfigError("fabric", "needs at least one input and output line")
-    for key, val in fab.get("loopback", {}).items():
-        out_line = _num(key, "fabric.loopback")
-        in_line = _num(val, "fabric.loopback")
-        if not 0 <= out_line < sc.fabric_outputs:
-            raise ConfigError("fabric.loopback", f"output line {out_line} out of range")
-        if not 0 <= in_line < sc.fabric_inputs:
-            raise ConfigError("fabric.loopback", f"input line {in_line} out of range")
-        sc.loopback[out_line] = in_line
-
-    busraw = raw.get("bus", {})
-    sc.bus_segments = _num(busraw.get("segments", 1), "bus.segments")
-    sc.transfer_cycles = _num(busraw.get("transfer_cycles", 2), "bus.transfer_cycles")
-    if sc.bus_segments < 1:
-        raise ConfigError("bus.segments", "must be at least 1")
-    if sc.transfer_cycles < 1:
-        raise ConfigError("bus.transfer_cycles", "must be at least 1")
-
-    links_raw = raw.get("links", [])
-    if len(links_raw) > 8:
-        raise ConfigError("links", f"{len(links_raw)} links exceed the supported 8")
-    mask_limit = 1 << sc.fabric_inputs
-    for i, lr in enumerate(links_raw):
+    for i, lr in enumerate(_list(raw.get("links", []), "links", MAX_LINKS)):
         loc = f"links[{i}]"
-        scm_lines = _num(lr.get("scm_lines", 8), f"{loc}.scm_lines")
-        if scm_lines < 1:
-            raise ConfigError(f"{loc}.scm_lines", "must be positive")
-        mask = _num(lr.get("event_mask", 0), f"{loc}.event_mask")
-        if not 0 <= mask < mask_limit:
-            raise ConfigError(f"{loc}.event_mask",
-                              f"mask 0x{mask:x} exceeds {sc.fabric_inputs} input lines")
-        mode_name = lr.get("trigger_mode", "any")
-        if mode_name not in _TRIGGER_MODES:
-            raise ConfigError(f"{loc}.trigger_mode", f"unknown mode {mode_name!r}")
-        base = _num(lr.get("base_address", 0), f"{loc}.base_address")
-        if base % 4:
-            raise ConfigError(f"{loc}.base_address", "must be word aligned")
-        fifo_depth = _num(lr.get("fifo_depth", 4), f"{loc}.fifo_depth")
-        if not 1 <= fifo_depth <= 16:
-            raise ConfigError(f"{loc}.fifo_depth", "must be within 1..16")
-        segment = _num(lr.get("segment", 0), f"{loc}.segment")
-        if not 0 <= segment < sc.bus_segments:
-            raise ConfigError(f"{loc}.segment", f"segment {segment} out of range")
-        program = _load_program(lr.get("program", {"source": ""}), base_dir,
-                                f"{loc}.program", scm_lines)
-        cfg = LinkConfig(
-            event_mask=mask,
-            trigger_mode=_TRIGGER_MODES[mode_name],
-            base_address=base,
-            enabled=bool(lr.get("enabled", True)),
-        )
-        sc.links.append(LinkSpec(scm_lines, cfg, fifo_depth, segment, program))
-
-    for i, pr in enumerate(raw.get("peripherals", [])):
-        loc = f"peripherals[{i}]"
-        kind = pr.get("type")
-        name = pr.get("name", f"{kind}{i}")
-        base = _num(pr.get("base_address", 0), f"{loc}.base_address")
-        params: dict = {}
-        if kind == "gpio":
-            params["pins"] = _num(pr.get("pins", 32), f"{loc}.pins")
-        elif kind == "regs":
-            params["size_words"] = _num(pr.get("size_words", 16), f"{loc}.size_words")
-        elif kind == "timer":
-            line = pr.get("event_line")
-            params["period"] = _num(pr.get("period", 0), f"{loc}.period")
-            params["enabled"] = bool(pr.get("enabled", False))
-            params["event_line"] = None if line is None else _num(line, loc)
-        elif kind == "sensor":
-            line = pr.get("event_line")
-            trig = pr.get("trigger_line")
-            params["schedule"] = [
-                (_num(c, loc), _num(v, loc)) for c, v in pr.get("schedule", [])
-            ]
-            params["event_line"] = None if line is None else _num(line, loc)
-            params["triggered"] = bool(pr.get("triggered", False))
-            params["trigger_line"] = None if trig is None else _num(trig, loc)
-            if params["trigger_line"] is not None and not (
-                    0 <= params["trigger_line"] < sc.fabric_inputs):
-                raise ConfigError(f"{loc}.trigger_line",
-                                  f"line {params['trigger_line']} out of range")
-        else:
-            raise ConfigError(f"{loc}.type", f"unknown peripheral type {kind!r}")
-        event_line = params.get("event_line")
-        if event_line is not None and not 0 <= event_line < sc.fabric_inputs:
-            raise ConfigError(f"{loc}.event_line", f"line {event_line} out of range")
-        segment = _num(pr.get("segment", 0), f"{loc}.segment")
-        if not 0 <= segment < sc.bus_segments:
-            raise ConfigError(f"{loc}.segment", f"segment {segment} out of range")
-        spec = PeripheralSpec(kind, name, base, segment, params)
+        lr = _obj(lr, loc)
+        scm_lines = _int(lr.get("scm_lines", 8), f"{loc}.scm_lines", 1,
+                         MAX_PROGRAM_LENGTH)
+        mode = lr.get("trigger_mode", "any")
         try:
-            spec.build()  # validate parameters eagerly
+            mode = TriggerMode(mode)
+        except ValueError:
+            raise ConfigError(f"{loc}.trigger_mode", f"unknown mode {mode!r}") from None
+        try:
+            config = LinkConfig(
+                event_mask=_int(lr.get("event_mask", 0), f"{loc}.event_mask",
+                                0, mask_max),
+                trigger_mode=mode,
+                base_address=_int(lr.get("base_address", 0), f"{loc}.base_address"),
+                enabled=_flag(lr.get("enabled", True), f"{loc}.enabled"),
+            )
+        except ValueError as e:  # LinkConfig owns the alignment rule
+            raise ConfigError(f"{loc}.base_address", str(e)) from None
+        sc.links.append(LinkSpec(
+            scm_lines,
+            config,
+            _int(lr.get("fifo_depth", 4), f"{loc}.fifo_depth", 1, 16),
+            _int(lr.get("segment", 0), f"{loc}.segment", 0, n_seg - 1),
+            _load_program(lr.get("program", {"source": ""}), base_dir,
+                          f"{loc}.program", scm_lines),
+        ))
+
+    for i, pr in enumerate(_list(raw.get("peripherals", []), "peripherals")):
+        loc = f"peripherals[{i}]"
+        pr = _obj(pr, loc)
+        kind = _str(pr.get("type"), f"{loc}.type")
+        if kind not in _PERIPHERALS:
+            raise ConfigError(f"{loc}.type", f"unknown peripheral type {kind!r}")
+        spec = PeripheralSpec(
+            kind,
+            _str(pr.get("name", f"{kind}{i}"), f"{loc}.name"),
+            _int(pr.get("base_address", 0), f"{loc}.base_address"),
+            _int(pr.get("segment", 0), f"{loc}.segment", 0, n_seg - 1),
+            {key: _PARAMS[key](pr[key], f"{loc}.{key}", n_in)
+             for key in _PERIPHERALS[kind][1] if key in pr},
+        )
+        try:
+            spec.build()  # the block constructors own alignment and size rules
         except ValueError as e:
-            raise ConfigError(loc, str(e))
+            raise ConfigError(loc, str(e)) from None
         sc.peripherals.append(spec)
 
-    if "baseline" in raw and raw["baseline"] is not None:
-        br = raw["baseline"]
+    br = raw.get("baseline")
+    if br is not None:
+        br = _obj(br, "baseline")
         sc.baseline = BaselineCpuModel(
-            interrupt_entry_cycles=_num(br.get("interrupt_entry_cycles", 10),
-                                        "baseline.interrupt_entry_cycles"),
-            handler_cycles=_num(br.get("handler_cycles", 6), "baseline.handler_cycles"),
-            memory_fetches_per_handler=_num(br.get("memory_fetches_per_handler", 16),
-                                            "baseline.memory_fetches_per_handler"),
             master_id=len(sc.links),
-            event_mask=_num(br.get("event_mask", mask_limit - 1),
-                            "baseline.event_mask"),
-            peripheral_txns_per_event=_num(br.get("peripheral_txns_per_event", 2),
-                                           "baseline.peripheral_txns_per_event"),
+            event_mask=_int(br.get("event_mask", mask_max), "baseline.event_mask",
+                            0, mask_max),
+            **{key: _int(br[key], f"baseline.{key}")
+               for key in _BASELINE_COUNTS if key in br},
         )
-        if sc.baseline.interrupt_entry_cycles < 0 or sc.baseline.handler_cycles < 0:
-            raise ConfigError("baseline", "cycle counts must be non-negative")
 
-    for j, entry in enumerate(raw.get("stimuli", [])):
-        loc = f"stimuli[{j}]"
-        if len(entry) != 3:
-            raise ConfigError(loc, "expected [cycle, line, level]")
-        cycle, line, level = (_num(v, loc) for v in entry)
-        if cycle < 0:
-            raise ConfigError(loc, "cycle must be non-negative")
-        if not 0 <= line < sc.fabric_inputs:
-            raise ConfigError(loc, f"input line {line} out of range")
-        if level not in (0, 1):
-            raise ConfigError(loc, "level must be 0 or 1")
-        sc.stimuli.append((cycle, line, level))
+    for entry in _list(raw.get("stimuli", []), "stimuli"):
+        match entry:
+            case [cycle, line, level]:
+                sc.stimuli.append((_int(cycle, "stimuli"),
+                                   _int(line, "stimuli", 0, n_in - 1),
+                                   _int(level, "stimuli", 0, 1)))
+            case _:
+                raise ConfigError("stimuli", f"expected [cycle, line, level], "
+                                             f"got {entry!r}")
 
     return sc
 
@@ -729,34 +760,9 @@ def sweep(base: Union[Scenario, dict, str, Path],
 
 
 def _derive(base: Scenario, n_links: int, scm_lines: int) -> Scenario:
-    if not 1 <= n_links <= 8:
-        raise ConfigError("links", f"link count {n_links} outside 1..8")
-    links = []
-    for i in range(n_links):
-        template = base.links[i % len(base.links)]
-        validate_against_capacity(template.program, scm_lines)
-        links.append(LinkSpec(
-            scm_lines=scm_lines,
-            config=LinkConfig(
-                event_mask=template.config.event_mask,
-                trigger_mode=template.config.trigger_mode,
-                base_address=template.config.base_address,
-                enabled=template.config.enabled,
-            ),
-            fifo_depth=template.fifo_depth,
-            segment=template.segment,
-            program=template.program,
-        ))
-    return Scenario(
-        clock_limit=base.clock_limit,
-        fabric_inputs=base.fabric_inputs,
-        fabric_outputs=base.fabric_outputs,
-        loopback=dict(base.loopback),
-        bus_segments=base.bus_segments,
-        transfer_cycles=base.transfer_cycles,
-        links=links,
-        peripherals=list(base.peripherals),
-        baseline=base.baseline,
-        stimuli=list(base.stimuli),
-        source_digest=base.source_digest + f":links={n_links}:scm={scm_lines}",
-    )
+    _int(n_links, "links", 1, MAX_LINKS)
+    _int(scm_lines, "scm_lines", 1, MAX_PROGRAM_LENGTH)
+    links = [replace(base.links[i % len(base.links)], scm_lines=scm_lines)
+             for i in range(n_links)]
+    digest = f"{base.source_digest}:links={n_links}:scm={scm_lines}"
+    return replace(base, links=links, source_digest=digest)

@@ -82,7 +82,6 @@ class Gpio(RegisterBlock):
         super().__init__(name, base_address, 4)
         self.pin_mask = (1 << pins) - 1
         self.pins = 0
-        self.writes: list[tuple[int, int]] = []  # (cycle, pin vector) history
 
     def read(self, offset: int, t: int) -> int:
         return self.pins
@@ -96,7 +95,6 @@ class Gpio(RegisterBlock):
             self.pins &= ~value
         elif offset == self.TGL:
             self.pins ^= value & self.pin_mask
-        self.writes.append((t, self.pins))
 
 
 class Timer(RegisterBlock):

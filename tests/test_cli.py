@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pels
 from conftest import SCENARIO_DIR, instant_scenario, sequenced_scenario
 from pels.cli import (
     EXIT_CHECK_FAILED,
@@ -90,6 +95,19 @@ def test_pels_run_config_error(tmp_path, capsys):
     assert pels_main(["run", str(path)]) == EXIT_CONFIG
 
 
+def test_pels_run_malformed_scenario_exits_1_without_traceback(tmp_path):
+    path = _write_scenario(tmp_path, {"links": [[1]]})
+    src = str(Path(pels.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pels.cli", "run", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "links[0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_pels_run_sim_error_exit_code(tmp_path, capsys):
     path = _write_scenario(tmp_path, sequenced_scenario(source="write 0x800, 0x1"))
     assert pels_main(["run", str(path)]) == EXIT_SIM_ERROR
@@ -123,6 +141,12 @@ def test_pels_sweep_cli(tmp_path, capsys):
     assert len(results) == 6
     table = capsys.readouterr().out
     assert "links" in table and "yes" in table
+
+
+def test_pels_sweep_rejects_bad_int_list(tmp_path, capsys):
+    path = _write_scenario(tmp_path, sequenced_scenario())
+    assert pels_main(["sweep", str(path), "--links", "1..x"]) == EXIT_CONFIG
+    assert "--links" in capsys.readouterr().err
 
 
 def test_pels_run_shipped_scenarios(capsys):

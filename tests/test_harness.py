@@ -1,10 +1,14 @@
+import copy
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import instant_scenario, sequenced_scenario
+from conftest import SCENARIO_DIR, instant_scenario, sequenced_scenario
 from pels import harness
 from pels.harness import (
     ConfigError,
@@ -77,6 +81,45 @@ def test_assembler_diagnostics_surface_as_config_errors():
     with pytest.raises(ConfigError) as exc:
         load_scenario(sc)
     assert "unknown mnemonic" in str(exc.value)
+
+
+def _sensor(**fields) -> dict:
+    return instant_scenario(peripherals=[
+        dict({"type": "sensor", "base_address": "0x40000000"}, **fields)])
+
+
+def _link(**fields) -> dict:
+    sc = instant_scenario()
+    sc["links"][0].update(fields)
+    return sc
+
+
+@pytest.mark.parametrize("scenario, location", [
+    ({"links": {"a": 1}}, "links"),
+    ({"links": [[1]]}, "links[0]"),
+    ({"fabric": []}, "fabric"),
+    ({"fabric": {"loopback": [1]}}, "fabric.loopback"),
+    ({"bus": [1]}, "bus"),
+    ({"baseline": [1]}, "baseline"),
+    ({"stimuli": [5]}, "stimuli"),
+    ({"peripherals": [5]}, "peripherals[0]"),
+    (_sensor(schedule=[[1]]), "peripherals[0].schedule"),
+    (_sensor(schedule=[5]), "peripherals[0].schedule"),
+    (_sensor(triggered="false"), "peripherals[0].triggered"),
+    (instant_scenario(peripherals=[{"type": "timer", "enabled": "false"}]),
+     "peripherals[0].enabled"),
+    (_link(program={"source": 5}), "links[0].program.source"),
+    (_link(trigger_mode=[]), "links[0].trigger_mode"),
+    (_link(base_address=-4), "links[0].base_address"),
+    (_link(base_address="0x40000002"), "links[0].base_address"),
+    (_link(enabled="false"), "links[0].enabled"),
+    ({"baseline": {"memory_fetches_per_handler": -1}},
+     "baseline.memory_fetches_per_handler"),
+])
+def test_malformed_shapes_raise_config_error(scenario, location):
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(scenario)
+    assert exc.value.location == location
 
 
 # ------------------------------------------------------------------- runs --
@@ -334,3 +377,89 @@ def test_sweep_reports_capacity_failures():
     by_scm = {r["scm_lines"]: r for r in results}
     assert "error" in by_scm[4]
     assert by_scm[8]["ok"]
+
+
+def test_sweep_reports_out_of_range_grid_points():
+    results = sweep(sequenced_scenario(), [0, 1], [0, 4])
+    by_point = {(r["links"], r["scm_lines"]): r for r in results}
+    assert by_point[(1, 4)]["ok"]
+    for point in [(0, 0), (0, 4), (1, 0)]:
+        assert "error" in by_point[point]
+
+
+# ------------------------------------------------------------------- fuzz --
+
+def _every_field_scenario() -> dict:
+    """One scenario that sets every documented field, so the fuzz can
+    perturb fields the shipped scenarios leave at their defaults."""
+    return {
+        "clock_limit": 200,
+        "fabric": {"inputs": 32, "outputs": 32, "loopback": {"0": 5}},
+        "bus": {"segments": 2, "transfer_cycles": 2},
+        "links": [{"scm_lines": 4, "event_mask": "0x5", "trigger_mode": "all",
+                   "base_address": "0x40000000", "enabled": True, "fifo_depth": 4,
+                   "segment": 0, "program": {"source": "set 0x0, 0x1"}}],
+        "peripherals": [
+            {"type": "regs", "name": "r0", "base_address": "0x40000000",
+             "size_words": 16, "segment": 0},
+            {"type": "gpio", "name": "g0", "base_address": "0x40001000", "pins": 32},
+            {"type": "timer", "name": "t0", "base_address": "0x40002000",
+             "period": 10, "enabled": True, "event_line": 3},
+            {"type": "sensor", "name": "s0", "base_address": "0x40003000",
+             "schedule": [[5, 100]], "event_line": 2, "triggered": True,
+             "trigger_line": 3, "segment": 1},
+        ],
+        "baseline": {"interrupt_entry_cycles": 10, "handler_cycles": 6,
+                     "memory_fetches_per_handler": 16, "event_mask": "0x4",
+                     "peripheral_txns_per_event": 2},
+        "stimuli": [[0, 0, 1], [4, 2, 0]],
+    }
+
+
+_FUZZ_BASES = [json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+_FUZZ_BASES += [instant_scenario(), sequenced_scenario(), _every_field_scenario()]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["0x10", "-1", "1.5", "any", "all", "regs", "sensor", "false"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _with_value(root, path, value):
+    if not path:
+        return value
+    root = copy.deepcopy(root)
+    node = root
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scenarios_load_and_run_or_raise_config_error(data):
+    base = data.draw(st.sampled_from(_FUZZ_BASES))
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    raw = _with_value(base, path, data.draw(_JSON_VALUES))
+    try:
+        scenario = load_scenario(raw, base_dir=SCENARIO_DIR)
+    except ConfigError:
+        return
+    capped = replace(scenario, clock_limit=min(scenario.clock_limit, 300))
+    try:
+        Simulation(capped, "full").run()
+    except ConfigError:
+        pass
+
