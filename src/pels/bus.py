@@ -94,7 +94,7 @@ class BusSegment:
         self.master_reads: dict[int, int] = {}
         self.master_writes: dict[int, int] = {}
         self.grant_waits: dict[int, dict[int, int]] = {}
-        self.grant_log: list[tuple[int, int]] = []  # (cycle, master)
+        self.grants = 0
 
     def attach(self, block: RegisterBlock) -> None:
         lo, hi = block.base_address, block.base_address + 4 * block.size_words
@@ -153,7 +153,7 @@ class BusSegment:
                 wait = t - txn.issue_cycle
                 hist = self.grant_waits.setdefault(granted, {})
                 hist[wait] = hist.get(wait, 0) + 1
-                self.grant_log.append((t, granted))
+                self.grants += 1
                 if self.trace:
                     self.trace(
                         kind="bus",

@@ -97,6 +97,10 @@ def _apply_check(report: harness.SimReport, checks: dict) -> list[str]:
 
 def _cmd_run(args) -> int:
     try:
+        checks = _parse_check(args.check) if args.check else None
+    except ValueError as e:
+        return _fail(f"--check {args.check!r}: {e}")
+    try:
         scenario = harness.load_scenario(args.scenario)
         report = harness.run(scenario, trace_level=args.trace_level)
     except harness.ConfigError as e:
@@ -123,8 +127,8 @@ def _cmd_run(args) -> int:
         summary["baseline_latency"] = report.baseline["latency"]["max"]
     print(json.dumps(summary, indent=2))
 
-    if args.check:
-        failures = _apply_check(report, _parse_check(args.check))
+    if checks:
+        failures = _apply_check(report, checks)
         if failures:
             for f in failures:
                 print(f"check failed: {f}", file=sys.stderr)

@@ -150,6 +150,14 @@ class EventFabric:
         self._level_inputs = (stim_levels | loop_in) & ((1 << self.n_inputs) - 1)
         self.inputs = self._level_inputs | (pulses & ((1 << self.n_inputs) - 1))
 
+    @property
+    def steady(self) -> bool:
+        """True when no pulse is on the inputs and the edge detector has
+        caught up with the levels: while the stimulus levels and the
+        looped-back outputs hold and no pulse arrives, every later settle
+        gives the same inputs and no trigger rises."""
+        return self.inputs == self._level_inputs == self._prev_level_inputs
+
     def rising_trigger(self, cfg: LinkConfig) -> bool:
         """True when the trigger predicate newly holds this cycle."""
         return evaluate_trigger(self.inputs, cfg) and not evaluate_trigger(

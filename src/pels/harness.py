@@ -51,6 +51,18 @@ A Scenario is immutable run input; every Simulation builds fresh link,
 bus and peripheral state, so the trace and report are pure functions of
 the scenario.
 
+Idle cycles are skipped (next-event time advance). After a cycle in
+which no link did any work, every FIFO is empty, the bus is idle and the
+fabric is steady (no pulse, edge detector caught up), nothing can change
+until the next stimulus, the next peripheral event (`next_event`) or the
+baseline's next completion, so the clock jumps straight to the earliest
+of them. When there is none, the run ends `quiescent` after the first
+cycle in which links and bus are idle; otherwise it ends at
+`clock_limit`. Reports and traces are those of stepping every cycle:
+skipped cycles are exactly the ones that would change no state and
+write no trace record, since `link` records are written only when a
+link's (fsm, pc) changes.
+
 Within a run, master ids 0..n_links-1 are the links and the baseline
 model (when present) takes the next id. The baseline is an accounting
 model: it does not contend on the simulated bus; its transaction counts
@@ -62,6 +74,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -87,7 +100,41 @@ from .periph import (
 )
 
 TRACE_LEVELS = ("off", "grants", "full")
-TRACE_FORMAT_VERSION = 1
+
+# Trace format 2: JSON Lines, one record per line. Every record has
+# `kind`; every record but `header` has `t`, the cycle it belongs to.
+#
+#   header    version, scenario_digest, stimulus_digest, trace_level
+#   stimulus  line, level               a stimulus setting was applied
+#   fabric    inputs, outputs           the settled input vector or the
+#                                       output levels changed (hex strings)
+#   trigger   link, token, status       a trigger edge; status "accepted"
+#                                       or "dropped" (FIFO full)
+#   program   link, token, event        event "start", "complete" (with
+#             [, latency]               latency in cycles) or "aborted"
+#   action    link, group, mode, out    an action command drove its group;
+#                                       out is the new output vector (hex)
+#   link      link, fsm, pc             the FSM state whose work ran this
+#                                       cycle and the program counter;
+#                                       written only when (fsm, pc) differs
+#                                       from the link's previous record
+#   error     link, detail              a bus or decode failure aborted
+#                                       the link's program
+#   bus       seg, event, master, rw,   event "request", "grant" (with wait,
+#             addr [, wait] [, data]    cycles since the request) or
+#             [, error]                 "complete" (with data: the read or
+#                                       written word, hex; error on a
+#                                       decode failure, when a read has
+#                                       no data)
+#   baseline  event, completion |       event "irq" (with its completion
+#             latency                   cycle) or "handled" (with latency)
+#   end       reason                    "quiescent" or "clock_limit";
+#                                       t is the last simulated cycle
+#
+# Level "off" keeps header and end, "grants" adds bus and error, "full"
+# keeps every kind. Version 1 wrote a `link` record for every link on
+# every cycle.
+TRACE_FORMAT_VERSION = 2
 
 # Record kinds included at the "grants" trace level.
 _GRANT_KINDS = frozenset({"header", "bus", "error", "end"})
@@ -256,6 +303,36 @@ class Scenario:
 
 
 
+def _unsortable_keys(node, location: str = "scenario") -> Optional[str]:
+    """Location of the first object whose keys cannot be sorted, such as
+    a Python dict mixing int and str keys; None when there is none."""
+    if isinstance(node, dict):
+        try:
+            sorted(node)
+        except TypeError:
+            return location
+        prefix = "" if location == "scenario" else location + "."
+        items = [(f"{prefix}{key}", value) for key, value in node.items()]
+    elif isinstance(node, (list, tuple)):
+        items = [(f"{location}[{i}]", value) for i, value in enumerate(node)]
+    else:
+        return None
+    for loc, value in items:
+        found = _unsortable_keys(value, loc)
+        if found:
+            return found
+    return None
+
+
+def _source_digest(raw: dict) -> str:
+    try:
+        text = json.dumps(raw, sort_keys=True, default=str)
+    except TypeError:
+        raise ConfigError(_unsortable_keys(raw) or "scenario",
+                          "object keys must be strings") from None
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _load_program(spec, base_dir: Path, location: str, scm_lines: int) -> Program:
     if isinstance(spec, dict):
         text = _str(spec.get("source"), f"{location}.source")
@@ -306,8 +383,7 @@ def load_scenario(source: Union[dict, str, Path],
         },
         bus_segments=n_seg,
         transfer_cycles=_int(bus.get("transfer_cycles", 2), "bus.transfer_cycles", 1),
-        source_digest=hashlib.sha256(
-            json.dumps(raw, sort_keys=True, default=str).encode()).hexdigest(),
+        source_digest=_source_digest(raw),
     )
 
     for i, lr in enumerate(_list(raw.get("links", []), "links", MAX_LINKS)):
@@ -453,11 +529,15 @@ class Simulation:
         level = trace_level or os.environ.get("PELS_TRACE_LEVEL", "full")
         self.scenario = scenario
         self.trace = Trace(level)
+        # Links and segments write only kinds that "off" drops; the
+        # harness's own kinds (stimulus, link, baseline, fabric) are "full" only.
+        record = None if level == "off" else self.trace.emit
+        self._full = level == "full"
         self.fabric = EventFabric(scenario.fabric_inputs, scenario.fabric_outputs,
                                   scenario.loopback)
         n_masters = len(scenario.links) + (1 if scenario.baseline else 0)
         self.bus = BusModel(max(n_masters, 1), scenario.bus_segments,
-                            scenario.transfer_cycles, trace=self.trace.emit)
+                            scenario.transfer_cycles, trace=record)
         self.blocks: list[RegisterBlock] = []
         for spec in scenario.peripherals:
             block = spec.build()
@@ -468,13 +548,13 @@ class Simulation:
                 raise ConfigError(f"peripherals ({spec.name})", str(e))
 
         self.links: list[Link] = []
-        self.link_segments: list[int] = []
+        self._link_segments = []
         for i, spec in enumerate(scenario.links):
             link = Link(i, spec.config, spec.scm_lines, spec.fifo_depth,
-                        master_id=i, trace=self.trace.emit)
+                        master_id=i, trace=record)
             link.load_program(spec.program)
             self.links.append(link)
-            self.link_segments.append(spec.segment)
+            self._link_segments.append((link, self.bus.segment(spec.segment)))
 
         self.baseline = BaselineCpu(scenario.baseline) if scenario.baseline else None
         self._baseline_cfg = (
@@ -484,7 +564,7 @@ class Simulation:
         self._stimuli_by_cycle: dict[int, list[tuple[int, int]]] = {}
         for cycle, line, level in scenario.stimuli:
             self._stimuli_by_cycle.setdefault(cycle, []).append((line, level))
-        self._last_stimulus = max((c for c, _, _ in scenario.stimuli), default=-1)
+        self._stimulus_cycles = sorted(self._stimuli_by_cycle)
         # input-triggered sensors: [block, trigger line, last seen level]
         self._triggered_sensors = [
             [b, b.trigger_line, 0] for b in self.blocks
@@ -497,74 +577,94 @@ class Simulation:
                 return b
         raise KeyError(name)
 
-    def _quiescent(self, t: int) -> bool:
-        if t < self._last_stimulus:
-            return False
-        if any(not link.idle for link in self.links):
-            return False
-        if not self.bus.idle:
-            return False
-        if self.baseline and not self.baseline.idle:
-            return False
-        return not any(b.active() for b in self.blocks)
+    def _next_cycle(self, t: int, quiet: bool) -> Optional[int]:
+        """The cycle to simulate after cycle t, or None when the run is
+        quiescent. `quiet` is True when no link did any work in cycle t;
+        then no output changed either, so loopback holds."""
+        if not self.bus.idle or not all(link.idle for link in self.links):
+            return t + 1
+        due = [c for c in (b.next_event(t) for b in self.blocks) if c is not None]
+        i = bisect_right(self._stimulus_cycles, t)
+        if i < len(self._stimulus_cycles):
+            due.append(self._stimulus_cycles[i])
+        if self.baseline and self.baseline.pending:
+            due.append(min(c for _, c in self.baseline.pending))
+        if not due:
+            return None
+        # A link that did work may still write its idle `link` record, and
+        # an unsteady fabric may still raise a trigger, in cycle t + 1.
+        return min(due) if quiet and self.fabric.steady else t + 1
 
     def run(self) -> SimReport:
         sc = self.scenario
-        self.trace.emit(kind="header", version=TRACE_FORMAT_VERSION,
-                        scenario_digest=sc.source_digest,
-                        stimulus_digest=sc.stimulus_digest(),
-                        trace_level=self.trace.level)
+        emit = self.trace.emit
+        full = self._full
+        fabric, bus, baseline = self.fabric, self.bus, self.baseline
+        emit(kind="header", version=TRACE_FORMAT_VERSION,
+             scenario_digest=sc.source_digest,
+             stimulus_digest=sc.stimulus_digest(),
+             trace_level=self.trace.level)
+        shown = [None] * len(self.links)  # (fsm, pc) of each link's last record
         stim_levels = 0
         end_reason = "clock_limit"
         cycles = sc.clock_limit
         last_fabric = (0, 0)
-        for t in range(sc.clock_limit):
-            for line, level in self._stimuli_by_cycle.get(t, []):
+        t = 0
+        while t < sc.clock_limit:
+            for line, level in self._stimuli_by_cycle.get(t, ()):
                 if level:
                     stim_levels |= 1 << line
                 else:
                     stim_levels &= ~(1 << line)
-                self.trace.emit(kind="stimulus", t=t, line=line, level=level)
+                if full:
+                    emit(kind="stimulus", t=t, line=line, level=level)
 
             pulses = 0
             for block in self.blocks:
                 pulses |= block.tick(t)
-            self.fabric.settle(stim_levels, pulses)
+            fabric.settle(stim_levels, pulses)
 
             for entry in self._triggered_sensors:
                 sensor, line, last = entry
-                level = (self.fabric.inputs >> line) & 1
+                level = (fabric.inputs >> line) & 1
                 if level and not last:
                     sensor.latch(t)  # done pulse arrives with the next tick
                 entry[2] = level
 
-            for link, seg in zip(self.links, self.link_segments):
-                performed = link.step(t, self.fabric, self.bus.segment(seg))
-                self.trace.emit(kind="link", t=t, link=link.link_id,
-                                fsm=performed.value, pc=link.pc)
+            quiet = True
+            for i, (link, segment) in enumerate(self._link_segments):
+                performed = link.step(t, fabric, segment)
+                if performed is not FsmState.IDLE:
+                    quiet = False
+                if full and shown[i] != (performed, link.pc):
+                    shown[i] = (performed, link.pc)
+                    emit(kind="link", t=t, link=link.link_id,
+                         fsm=performed.value, pc=link.pc)
 
-            if self.baseline:
-                if self.fabric.rising_trigger(self._baseline_cfg):
-                    completion = self.baseline.handle_event(t)
-                    self.trace.emit(kind="baseline", t=t, event="irq",
-                                    completion=completion)
-                for event_cycle, completion in self.baseline.step(t):
-                    self.trace.emit(kind="baseline", t=t, event="handled",
-                                    latency=completion - event_cycle)
+            if baseline:
+                if fabric.rising_trigger(self._baseline_cfg):
+                    completion = baseline.handle_event(t)
+                    if full:
+                        emit(kind="baseline", t=t, event="irq", completion=completion)
+                for event_cycle, completion in baseline.step(t):
+                    if full:
+                        emit(kind="baseline", t=t, event="handled",
+                             latency=completion - event_cycle)
 
-            if (self.fabric.inputs, self.fabric.outputs) != last_fabric:
-                last_fabric = (self.fabric.inputs, self.fabric.outputs)
-                self.trace.emit(kind="fabric", t=t,
-                                inputs=f"0x{self.fabric.inputs:x}",
-                                outputs=f"0x{self.fabric.outputs:x}")
-            self.bus.step(t)
+            if full and (fabric.inputs, fabric.outputs) != last_fabric:
+                last_fabric = (fabric.inputs, fabric.outputs)
+                emit(kind="fabric", t=t, inputs=f"0x{fabric.inputs:x}",
+                     outputs=f"0x{fabric.outputs:x}")
+            bus.step(t)
 
-            if self._quiescent(t):
+            next_t = self._next_cycle(t, quiet)
+            if next_t is None:
                 end_reason = "quiescent"
                 cycles = t + 1
                 break
+            t = next_t
 
-        self.trace.emit(kind="end", t=cycles - 1, reason=end_reason)
+        emit(kind="end", t=cycles - 1, reason=end_reason)
         return self._report(cycles, end_reason)
 
     def _report(self, cycles: int, end_reason: str) -> SimReport:
@@ -594,7 +694,7 @@ class Simulation:
         per_master: dict[str, dict] = {}
         grants = 0
         for seg in self.bus.segments:
-            grants += len(seg.grant_log)
+            grants += seg.grants
             for master in sorted(set(seg.master_reads) | set(seg.master_writes)
                                  | set(seg.grant_waits)):
                 entry = per_master.setdefault(

@@ -13,6 +13,8 @@ Register maps (word offsets from the block base):
             2 COUNT ro  current counter
             counting starts the cycle after enable; with period P the
             event line pulses at enable+P, enable+2P, ...
+            COUNT is derived from cycle numbers, so reads and pulses are
+            exact even when the cycles in between were never ticked
 
     sensor  0 SAMPLE ro most recent sample
             1 START  w1 (triggered mode) latch the scheduled value now
@@ -53,12 +55,14 @@ class RegisterBlock:
         pass
 
     def tick(self, t: int) -> int:
-        """Advance one cycle; returns a bitmask of event lines pulsing at t."""
+        """Advance to cycle t; returns a bitmask of event lines pulsing at t."""
         return 0
 
-    def active(self) -> bool:
-        """True while the block can still produce events on its own."""
-        return False
+    def next_event(self, t: int) -> Optional[int]:
+        """After the tick of cycle t: the first later cycle at which the
+        block can act on its own, or None when it never will unless a
+        register is written. Cycles before it need not be ticked."""
+        return None
 
 
 class Regs(RegisterBlock):
@@ -106,17 +110,37 @@ class Timer(RegisterBlock):
         self.period = period
         self.enabled = enabled
         self.event_line = event_line
-        self.count = 0
+        self.count = 0  # as of the tick of cycle _synced
         self._armed = False
+        self._synced = -1
+
+    def _advance(self, t: int) -> bool:
+        """Apply the ticks of the cycles after _synced up to t; True when
+        the count wraps at t itself."""
+        steps = t - self._synced
+        if steps <= 0:
+            return False
+        self._synced = t
+        if not self.enabled or self.period <= 0:
+            return False
+        if not self._armed:
+            self._armed = True  # counting starts the following cycle
+            steps -= 1
+        # A count at or above a lowered period wraps on the next tick,
+        # just as period - 1 does.
+        self.count = (min(self.count, self.period - 1) + steps) % self.period
+        return steps > 0 and self.count == 0
 
     def read(self, offset: int, t: int) -> int:
         if offset == self.CTRL:
             return 1 if self.enabled else 0
         if offset == self.PERIOD:
             return self.period
+        self._advance(t)
         return self.count
 
     def write(self, offset: int, value: int, t: int) -> None:
+        self._advance(t)
         if offset == self.CTRL:
             enable = bool(value & 1)
             if enable and not self.enabled:
@@ -127,20 +151,16 @@ class Timer(RegisterBlock):
             self.period = value
 
     def tick(self, t: int) -> int:
-        if not self.enabled or self.period <= 0:
-            return 0
-        if not self._armed:
-            self._armed = True  # counting starts the following cycle
-            return 0
-        self.count += 1
-        if self.count >= self.period:
-            self.count = 0
-            if self.event_line is not None:
-                return 1 << self.event_line
+        if self._advance(t) and self.event_line is not None:
+            return 1 << self.event_line
         return 0
 
-    def active(self) -> bool:
-        return self.enabled and self.period > 0 and self.event_line is not None
+    def next_event(self, t: int) -> Optional[int]:
+        if not self.enabled or self.period <= 0 or self.event_line is None:
+            return None
+        if not self._armed:
+            return t + 1 + self.period
+        return t + max(self.period - self.count, 1)
 
 
 class Sensor(RegisterBlock):
@@ -202,10 +222,12 @@ class Sensor(RegisterBlock):
             self._next += 1
         return pulses
 
-    def active(self) -> bool:
+    def next_event(self, t: int) -> Optional[int]:
         if self._done_pulse:
-            return True
-        return not self.triggered and self._next < len(self.schedule)
+            return t + 1
+        if self.triggered or self._next == len(self.schedule):
+            return None
+        return self.schedule[self._next][0]
 
 
 @dataclass

@@ -1,84 +1,10 @@
-"""Shared generators and scenario builders for the test suite."""
+"""Fixtures shared by the test suite; plain helpers live in helpers.py."""
 
-import random
 from pathlib import Path
 
 import pytest
 
-from pels.asm import Program, validate_program
-from pels.isa import ActionMode, Command, Condition, OpCode
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
-_REGISTER_OPS = [OpCode.WRITE, OpCode.SET, OpCode.CLEAR, OpCode.TOGGLE, OpCode.CAPTURE]
-
-
-def random_command(rng: random.Random) -> Command:
-    """A well-formed command without any program-structure constraints."""
-    op = rng.choice(list(OpCode))
-    if op in _REGISTER_OPS:
-        return Command(op, rng.randint(0, 0xFFF), rng.getrandbits(32))
-    if op is OpCode.JUMP_IF:
-        return Command.jump_if(Condition(rng.randint(0, 3)), rng.getrandbits(32),
-                               rng.randint(0, 0xFF))
-    if op is OpCode.LOOP:
-        return Command.loop(rng.getrandbits(32), rng.randint(0, 0xFF))
-    if op is OpCode.WAIT:
-        return Command.wait(rng.getrandbits(32))
-    return Command.action(ActionMode(rng.randint(0, 1)), rng.randint(0, 0xFF),
-                          rng.getrandbits(32))
-
-
-def random_program(rng: random.Random, max_len: int = 8) -> Program:
-    """A structurally valid program: targets in range, loops backward
-    and non-nested."""
-    n = rng.randint(0, max_len)
-    cmds = []
-    loop_floor = 0  # earliest line a new loop may target without nesting
-    for i in range(n):
-        pick = rng.random()
-        if pick < 0.40:
-            op = rng.choice(_REGISTER_OPS)
-            cmds.append(Command(op, rng.randint(0, 0xFFF), rng.getrandbits(32)))
-        elif pick < 0.55:
-            cmds.append(Command.jump_if(Condition(rng.randint(0, 3)),
-                                        rng.getrandbits(32), rng.randint(0, n - 1)))
-        elif pick < 0.65:
-            target = rng.randint(loop_floor, i)
-            cmds.append(Command.loop(rng.randint(0, 1000), target))
-            loop_floor = i + 1
-        elif pick < 0.80:
-            cmds.append(Command.wait(rng.randint(0, 100_000)))
-        else:
-            cmds.append(Command.action(ActionMode(rng.randint(0, 1)),
-                                       rng.randint(0, 0xFF), rng.getrandbits(32)))
-    prog = Program(tuple(cmds))
-    validate_program(prog)
-    return prog
-
-
-def instant_scenario(**overrides) -> dict:
-    sc = {
-        "clock_limit": 50,
-        "links": [{"scm_lines": 4, "event_mask": "0x1",
-                   "program": {"source": "action grp0.set, 0x1"}}],
-        "stimuli": [[0, 0, 1]],
-    }
-    sc.update(overrides)
-    return sc
-
-
-def sequenced_scenario(source: str = "set 0x0, 0x1", **overrides) -> dict:
-    sc = {
-        "clock_limit": 80,
-        "links": [{"scm_lines": 4, "event_mask": "0x1",
-                   "base_address": "0x40000000", "program": {"source": source}}],
-        "peripherals": [{"type": "regs", "name": "r0",
-                         "base_address": "0x40000000", "size_words": 16}],
-        "stimuli": [[0, 0, 1]],
-    }
-    sc.update(overrides)
-    return sc
+from helpers import SCENARIO_DIR
 
 
 @pytest.fixture

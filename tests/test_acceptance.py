@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import SCENARIO_DIR, random_program
+from helpers import SCENARIO_DIR, random_program
 from pels.asm import (
     AsmError,
     assemble,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_program
+from helpers import random_program
 from pels import asm
 from pels.asm import (
     AsmSyntaxError,

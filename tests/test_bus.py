@@ -13,10 +13,21 @@ from pels.bus import (
 from pels.periph import Regs
 
 
-def make_segment(n_masters=8, transfer_cycles=2, words=64):
-    seg = BusSegment(0, n_masters, transfer_cycles)
+def make_segment(n_masters=8, transfer_cycles=2, words=64, trace=None):
+    seg = BusSegment(0, n_masters, transfer_cycles, trace)
     seg.attach(Regs("r0", 0x4000_0000, words))
     return seg
+
+
+def traced_segment(n_masters=8):
+    """A segment plus the (cycle, master) of every grant, in grant order."""
+    grants = []
+
+    def trace(**record):
+        if record["event"] == "grant":
+            grants.append((record["t"], record["master"]))
+
+    return make_segment(n_masters, trace=trace), grants
 
 
 # --------------------------------------------------------------- arbitrate --
@@ -151,7 +162,7 @@ def test_grant_persists_for_whole_transaction():
 def test_saturated_round_robin_window():
     """8 masters always requesting 2-cycle transfers: one grant each per
     16-cycle window, verified by direct simulation."""
-    seg = make_segment(n_masters=8)
+    seg, grants = traced_segment(n_masters=8)
 
     def repost(master, t):
         seg.post(BusTransaction(master, TxnKind.READ, 0x4000_0000), t)
@@ -160,8 +171,7 @@ def test_saturated_round_robin_window():
         repost(m, 0)
     run_segment(seg, 2000, repost)
 
-    grants = seg.grant_log
-    assert len(grants) > 900
+    assert seg.grants == len(grants) > 900
     # steady state: skip the first full rotation
     steady = [g for g in grants if g[0] >= 16]
     for start in range(16, 1900):
@@ -177,7 +187,7 @@ def test_saturated_round_robin_window():
 
 
 def test_serialization_no_overlap():
-    seg = make_segment(n_masters=4)
+    seg, grants = traced_segment(n_masters=4)
     rng = random.Random(11)
     outstanding = set()
 
@@ -189,7 +199,7 @@ def test_serialization_no_overlap():
         for txn in seg.step(t):
             outstanding.discard(txn.master_id)
 
-    grants = seg.grant_log
+    assert seg.grants == len(grants) > 0
     for (t1, _), (t2, _) in zip(grants, grants[1:]):
         assert t2 - t1 >= 2  # a 2-cycle transfer blocks the next grant
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import pels
-from conftest import SCENARIO_DIR, instant_scenario, sequenced_scenario
+from helpers import SCENARIO_DIR, instant_scenario, sequenced_scenario
 from pels.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -88,6 +88,15 @@ def test_pels_run_check_failure(tmp_path, capsys):
     path = _write_scenario(tmp_path, instant_scenario())
     assert pels_main(["run", str(path), "--check", "3"]) == EXIT_CHECK_FAILED
     assert "check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["x", "0:x", "1,"])
+def test_pels_run_rejects_bad_check_spec(tmp_path, capsys, spec):
+    path = _write_scenario(tmp_path, instant_scenario())
+    assert pels_main(["run", str(path), "--check", spec]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--check" in captured.err
+    assert captured.out == ""  # rejected before the simulation runs
 
 
 def test_pels_run_config_error(tmp_path, capsys):

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR, instant_scenario, sequenced_scenario
+from helpers import (
+    SCENARIO_DIR,
+    PerCycleSimulation,
+    instant_scenario,
+    sequenced_scenario,
+)
 from pels import harness
+from pels.asm import Program, disassemble, validate_program
 from pels.harness import (
     ConfigError,
     MismatchedStimulus,
@@ -20,6 +26,7 @@ from pels.harness import (
     run,
     sweep,
 )
+from pels.isa import ActionMode, Command, Condition, OpCode
 
 
 # ------------------------------------------------------------- validation --
@@ -115,6 +122,9 @@ def _link(**fields) -> dict:
     (_link(enabled="false"), "links[0].enabled"),
     ({"baseline": {"memory_fetches_per_handler": -1}},
      "baseline.memory_fetches_per_handler"),
+    ({"fabric": {"loopback": {0: 5, "1": 3}}}, "fabric.loopback"),
+    ({"links": [{"notes": {0: 5, "1": 3}}]}, "links[0].notes"),  # never read
+    ({0: 5, "1": 3}, "scenario"),
 ])
 def test_malformed_shapes_raise_config_error(scenario, location):
     with pytest.raises(ConfigError) as exc:
@@ -463,3 +473,154 @@ def test_fuzzed_scenarios_load_and_run_or_raise_config_error(data):
     except ConfigError:
         pass
 
+
+
+# ------------------------------------------------- next-event time advance --
+
+# Blocks a random link may address: (type, base address, words).
+_BLOCKS = (("regs", 0x4000_0000, 4), ("timer", 0x4000_1000, 3),
+           ("sensor", 0x4000_2000, 2))
+_EVENT_LINES = st.integers(0, 7)
+_VALUES = st.integers(0, 40) | st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def _programs(draw, max_len: int, words: int):
+    """Terminating programs over one block: jumps go forward, loops back
+    without nesting, waits are short, and offsets mostly exist."""
+    n = draw(st.integers(0, max_len))
+    offsets = st.integers(0, words - 1) | st.just(words)  # words: decode error
+    cmds = []
+    loop_floor = 0
+    for i in range(n):
+        kind = draw(st.sampled_from(["action", "register", "register", "capture",
+                                     "jif", "loop", "wait"]))
+        if kind == "action":
+            cmds.append(Command.action(draw(st.sampled_from(list(ActionMode))),
+                                       draw(st.sampled_from([0, 0, 0, 1])),
+                                       draw(st.integers(0, 255))))
+        elif kind == "register":
+            op = draw(st.sampled_from([OpCode.WRITE, OpCode.SET, OpCode.CLEAR,
+                                       OpCode.TOGGLE]))
+            cmds.append(Command(op, draw(offsets), draw(_VALUES)))
+        elif kind == "capture":
+            cmds.append(Command.capture(draw(offsets), draw(_VALUES)))
+        elif kind == "jif" and i + 1 < n:
+            cmds.append(Command.jump_if(Condition(draw(st.integers(0, 3))),
+                                        draw(_VALUES), draw(st.integers(i + 1, n - 1))))
+        elif kind == "loop":
+            cmds.append(Command.loop(draw(st.integers(0, 3)),
+                                     draw(st.integers(loop_floor, i))))
+            loop_floor = i + 1
+        else:
+            cmds.append(Command.wait(draw(st.integers(0, 30))))
+    prog = Program(tuple(cmds))
+    validate_program(prog)
+    return prog
+
+
+@st.composite
+def _scenarios(draw) -> dict:
+    """Whole scenarios: sparse stimuli, timers, sensors in both modes,
+    loopback, the baseline, and links whose programs read and write the
+    timer and sensor registers."""
+    n_seg = draw(st.integers(1, 2))
+    horizon = draw(st.integers(1, 2000))
+    cycles = st.integers(0, horizon + 50)
+    segs = [draw(st.integers(0, n_seg - 1)) for _ in _BLOCKS]
+    schedule = sorted(draw(st.lists(st.tuples(cycles, _VALUES), max_size=6)))
+    peripherals = [
+        {"type": "regs", "name": "regs", "base_address": _BLOCKS[0][1],
+         "size_words": 4, "segment": segs[0]},
+        {"type": "timer", "name": "timer", "base_address": _BLOCKS[1][1],
+         "period": draw(st.integers(0, 300)), "enabled": draw(st.booleans()),
+         "event_line": draw(st.none() | _EVENT_LINES), "segment": segs[1]},
+        {"type": "sensor", "name": "sensor", "base_address": _BLOCKS[2][1],
+         "schedule": [list(e) for e in schedule],
+         "event_line": draw(st.none() | _EVENT_LINES),
+         "triggered": draw(st.booleans()),
+         "trigger_line": draw(st.none() | _EVENT_LINES), "segment": segs[2]},
+    ]
+    links = []
+    for _ in range(draw(st.integers(0, 4))):
+        block = draw(st.integers(0, len(_BLOCKS) - 1))
+        _, base, words = _BLOCKS[block]
+        scm_lines = draw(st.integers(1, 6))
+        links.append({
+            "scm_lines": scm_lines,
+            "event_mask": draw(st.integers(0, 255)),
+            "trigger_mode": draw(st.sampled_from(["any", "all"])),
+            "base_address": base,
+            "enabled": draw(st.sampled_from([True, True, True, False])),
+            "fifo_depth": draw(st.integers(1, 4)),
+            # mostly the segment of its block; otherwise decode errors
+            "segment": draw(st.sampled_from([segs[block]] * 3 + list(range(n_seg)))),
+            "program": {"source": disassemble(draw(_programs(scm_lines, words)))},
+        })
+    scenario = {
+        "clock_limit": horizon,
+        "fabric": {"loopback": draw(st.dictionaries(
+            st.integers(0, 7).map(str), _EVENT_LINES, max_size=3))},
+        "bus": {"segments": n_seg, "transfer_cycles": draw(st.integers(1, 3))},
+        "links": links,
+        "peripherals": peripherals,
+        "stimuli": [list(e) for e in draw(st.lists(
+            st.tuples(cycles, _EVENT_LINES, st.integers(0, 1)), max_size=8))],
+    }
+    if draw(st.booleans()):
+        scenario["baseline"] = {"interrupt_entry_cycles": draw(st.integers(0, 12)),
+                                "handler_cycles": draw(st.integers(0, 8)),
+                                "event_mask": draw(st.integers(0, 255))}
+    return scenario
+
+
+def _jsonl(report) -> str:
+    sink = io.StringIO()
+    emit_trace(report, sink)
+    return sink.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_scenarios())
+def test_skipping_kernel_matches_the_per_cycle_reference(raw):
+    scenario = load_scenario(raw)
+    fast = Simulation(scenario, "full").run()
+    slow = PerCycleSimulation(scenario, "full").run()
+    assert fast.to_dict() == slow.to_dict()
+    assert _jsonl(fast) == _jsonl(slow)
+    assert Simulation(scenario, "off").run().to_dict() == fast.to_dict()
+    for entry in fast.per_link:
+        t = entry["triggers"]
+        assert t["accepted"] + t["dropped"] == t["events"]
+
+
+class _CountingSimulation(Simulation):
+    """Counts the cycles the kernel actually simulates."""
+
+    simulated = 0
+
+    def _next_cycle(self, t, quiet):
+        self.simulated += 1
+        return super()._next_cycle(t, quiet)
+
+
+def test_idle_cycles_are_skipped_and_link_records_written_on_change():
+    sc = sequenced_scenario()
+    sc["clock_limit"] = 50_000
+    sc["links"][0]["event_mask"] = "0x2"
+    sc["peripherals"].append({"type": "timer", "name": "t0",
+                              "base_address": "0x50000000", "period": 1000,
+                              "enabled": True, "event_line": 1})
+    scenario = load_scenario(sc)
+    sim = _CountingSimulation(scenario, "full")
+    report = sim.run()
+    assert report.cycles == 50_000
+    assert report.per_link[0]["latency"]["samples"] == [7] * 49
+    assert sim.simulated < 50 * 20  # the RMW and a few settling cycles per tick
+    link_records = [r for r in report.trace if r["kind"] == "link"]
+    assert len(link_records) < sim.simulated
+    pairs = [(r["fsm"], r["pc"]) for r in link_records]
+    assert all(a != b for a, b in zip(pairs, pairs[1:]))
+    assert report.trace[0]["version"] == harness.TRACE_FORMAT_VERSION == 2
+    reference = PerCycleSimulation(scenario, "full").run()
+    assert _jsonl(report) == _jsonl(reference)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_command
+from helpers import random_command
 from pels import isa
 from pels.isa import (
     ActionMode,

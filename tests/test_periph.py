@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pels.periph import BaselineCpu, BaselineCpuModel, Gpio, Regs, Sensor, Timer
 
@@ -56,7 +58,7 @@ def test_timer_period_10_pulses():
 def test_timer_disabled_never_pulses():
     t = Timer("t", 0x4000_0000, period=10, enabled=False, event_line=0)
     assert run_timer(t, 50) == []
-    assert not t.active()
+    assert t.next_event(49) is None
 
 
 def test_timer_period_1_pulses_every_cycle():
@@ -81,7 +83,96 @@ def test_timer_registers():
 def test_timer_without_event_line_is_silent():
     t = Timer("t", 0x4000_0000, period=3, enabled=True, event_line=None)
     assert run_timer(t, 10) == []
-    assert not t.active()
+    assert t.next_event(9) is None
+
+
+class PerCycleTimer:
+    """The timer as first modelled: one count step per tick, every cycle."""
+
+    CTRL, PERIOD, COUNT = range(3)
+
+    def __init__(self, period, enabled, event_line):
+        self.period = period
+        self.enabled = enabled
+        self.event_line = event_line
+        self.count = 0
+        self._armed = False
+
+    def read(self, offset, t):
+        if offset == self.CTRL:
+            return 1 if self.enabled else 0
+        if offset == self.PERIOD:
+            return self.period
+        return self.count
+
+    def write(self, offset, value, t):
+        if offset == self.CTRL:
+            enable = bool(value & 1)
+            if enable and not self.enabled:
+                self.count = 0
+                self._armed = False
+            self.enabled = enable
+        elif offset == self.PERIOD:
+            self.period = value
+
+    def tick(self, t):
+        if not self.enabled or self.period <= 0:
+            return 0
+        if not self._armed:
+            self._armed = True
+            return 0
+        self.count += 1
+        if self.count >= self.period:
+            self.count = 0
+            if self.event_line is not None:
+                return 1 << self.event_line
+        return 0
+
+
+_HORIZON = 300
+
+
+@settings(max_examples=300, deadline=None)
+@given(period=st.integers(0, 40), enabled=st.booleans(),
+       event_line=st.none() | st.integers(0, 3),
+       writes=st.dictionaries(
+           st.integers(0, _HORIZON - 1),
+           st.tuples(st.sampled_from([Timer.CTRL, Timer.PERIOD]), st.integers(0, 40)),
+           max_size=8),
+       reads=st.sets(st.integers(0, _HORIZON - 1), max_size=8))
+def test_timer_ticked_at_next_event_matches_per_cycle_timer(period, enabled,
+                                                            event_line, writes, reads):
+    """Ticked only at its own next_event cycles and at the cycles a bus
+    access reaches it, the timer pulses and reads as if ticked every cycle."""
+    ref = PerCycleTimer(period, enabled, event_line)
+    expected_pulses, expected_reads = [], []
+    for t in range(_HORIZON):
+        if ref.tick(t):
+            expected_pulses.append(t)
+        if t in writes:
+            ref.write(*writes[t], t)
+        if t in reads:
+            expected_reads.append([ref.read(r, t) for r in range(3)])
+
+    timer = Timer("t", 0x4000_0000, period, enabled, event_line)
+    pulses, got_reads = [], []
+    accesses = sorted(set(writes) | reads)
+    t = 0
+    while t < _HORIZON:
+        if timer.tick(t):
+            pulses.append(t)
+        if t in writes:
+            timer.write(*writes[t], t)
+        if t in reads:
+            got_reads.append([timer.read(r, t) for r in range(3)])
+        due = [c for c in accesses if c > t][:1]
+        event = timer.next_event(t)
+        if event is not None:
+            assert event > t
+            due.append(event)
+        t = min(due, default=_HORIZON)
+    assert pulses == expected_pulses
+    assert got_reads == expected_reads
 
 
 # ----------------------------------------------------------------- sensor --
@@ -96,7 +187,7 @@ def test_sensor_schedule_lands_samples():
     assert seen[5] == (100, 1 << 2)       # lands and pulses at its cycle
     assert seen[8] == (100, 0)
     assert seen[9] == (200, 1 << 2)
-    assert not s.active()
+    assert s.next_event(11) is None
 
 
 def test_sensor_no_time_travel():
@@ -106,6 +197,21 @@ def test_sensor_no_time_travel():
         assert s.read(Sensor.SAMPLE, t) == 0
     s.tick(10)
     assert s.read(Sensor.SAMPLE, 10) == 77
+
+
+def test_sensor_next_event():
+    s = Sensor("s", 0x4000_0000, schedule=[(5, 1), (9, 2)], event_line=0)
+    assert s.next_event(0) == 5
+    s.tick(5)
+    assert s.next_event(5) == 9
+    s.tick(9)
+    assert s.next_event(9) is None
+    adc = Sensor("a", 0x4000_0000, schedule=[(5, 1)], event_line=0, triggered=True)
+    assert adc.next_event(0) is None  # waits for a conversion start
+    adc.latch(3)
+    assert adc.next_event(3) == 4  # the done pulse
+    assert adc.tick(4) == 1
+    assert adc.next_event(4) is None
 
 
 def test_sensor_triggered_mode_latches_on_start():
