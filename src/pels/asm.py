@@ -18,15 +18,31 @@ Grammar (one statement per line, `#` starts a comment):
 Offsets are register word offsets from the link base address. Jump and
 loop targets are labels; loop targets must not be forward references
 (hardware loops only run backward). Loop bodies must not contain another
-loop. Diagnostics carry a line/column location and a stable error code.
+loop.
+
+Diagnostics are AsmError subclasses with a stable `code` and a 1-based
+source line (0 when no location applies). Each rule has one owner:
+
+    parse (grammar): AsmSyntaxError with code unknown-mnemonic, arity,
+        bad-literal, bad-condition, bad-label, bad-argument,
+        duplicate-label or dangling-label
+    assemble (label resolution): UndefinedLabel, undefined-label
+    isa.Command (field and operand widths): OperandWidth, operand-width
+    validate_program (structure): CapacityExceeded, capacity (over 256
+        commands); TargetOutOfRange, target-range (past the end, or a
+        forward loop); NestedLoop, nested-loop
+    validate_against_capacity (fit in scm_lines): capacity, target-range
+
+`assemble` reports the errors of `Command` and `validate_program` at the
+line of the offending statement.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .isa import ActionMode, Command, Condition, OpCode
+from .isa import REGISTER_OPCODES, ActionMode, Command, Condition, OpCode
 
 # Target line indices are encoded in 8 bits, bounding any program.
 MAX_PROGRAM_LENGTH = 256
@@ -38,24 +54,30 @@ CONDITION_NAMES = {
     "geu": Condition.GEU,
 }
 
+# Commands whose field holds a target line index.
+_TARGET_OPCODES = (OpCode.JUMP_IF, OpCode.LOOP)
+
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _GRP_RE = re.compile(r"^grp([0-9]+|0x[0-9A-Fa-f]+)\.(set|toggle)$")
 
 
 class AsmError(Exception):
-    """Base class for assembly diagnostics.
-
-    Every diagnostic has a stable `code` for test assertions plus a
-    1-based source line (0 when no location applies).
-    """
+    """Base class for assembly diagnostics: a stable `code`, a 1-based
+    source `line` (0 when none applies) and, from `validate_program`, the
+    offending command's `index`, which `assemble` turns into the line."""
 
     code = "asm-error"
+    index: int | None = None
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
+        self.message = message
         self.line = line
         self.col = col
-        super().__init__(f"line {line}: {message}" if line else message)
+        super().__init__(message)
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.message}" if self.line else self.message
 
 
 class AsmSyntaxError(AsmError):
@@ -139,11 +161,53 @@ class Program:
         return self.commands[i]
 
 
-def _parse_literal(token: str, line: int) -> int:
+# -- argument parsers: one source argument -> a tuple of values -----------
+
+def _literal(token: str, line: int) -> tuple:
     try:
-        return int(token, 0)
+        return (int(token, 0),)
     except ValueError:
         raise AsmSyntaxError("bad-literal", f"malformed literal '{token}'", line)
+
+
+def _condition(token: str, line: int) -> tuple:
+    if token.lower() not in CONDITION_NAMES:
+        raise AsmSyntaxError("bad-condition", f"unknown condition '{token}'", line)
+    return (CONDITION_NAMES[token.lower()],)
+
+
+def _label(token: str, line: int) -> tuple:
+    if not _IDENT_RE.match(token):
+        raise AsmSyntaxError("bad-label", f"malformed label '{token}'", line)
+    return (token,)
+
+
+def _group(token: str, line: int) -> tuple:
+    """`grp<N>.set` or `grp<N>.toggle` -> (group, mode)."""
+    m = _GRP_RE.match(token.lower())
+    if not m:
+        raise AsmSyntaxError(
+            "bad-argument", f"expected grp<N>.set or grp<N>.toggle, got '{token}'", line)
+    mode = ActionMode.SET_LEVELS if m.group(2) == "set" else ActionMode.TOGGLE
+    return _literal(m.group(1), line) + (mode,)
+
+
+# mnemonic -> (argument parsers, Command builder). The parsed values are
+# a Statement's args; labels stay names until `assemble` replaces them by
+# their line indices and passes the args to the builder.
+_REGISTER_ARGS = (_literal, _literal)
+_SYNTAX = {
+    "write": (_REGISTER_ARGS, Command.write),
+    "set": (_REGISTER_ARGS, Command.set),
+    "clear": (_REGISTER_ARGS, Command.clear),
+    "toggle": (_REGISTER_ARGS, Command.toggle),
+    "capture": (_REGISTER_ARGS, Command.capture),
+    "jif": ((_condition, _literal, _label), Command.jump_if),
+    "loop": ((_literal, _label), Command.loop),
+    "wait": ((_literal,), Command.wait),
+    "action": ((_group, _literal),
+               lambda group, mode, bits: Command.action(mode, group, bits)),
+}
 
 
 def parse(text: str) -> SourceProgram:
@@ -180,14 +244,27 @@ def parse(text: str) -> SourceProgram:
         args = tuple(a.strip() for a in argtext.split(",")) if argtext else ()
         if any(a == "" for a in args):
             raise AsmSyntaxError("arity", "empty argument", lineno)
+        if mnemonic not in _SYNTAX:
+            raise AsmSyntaxError(
+                "unknown-mnemonic", f"unknown mnemonic '{mnemonic}'", lineno)
+        parsers, _ = _SYNTAX[mnemonic]
+        n = len(parsers)
+        if len(args) != n:
+            raise AsmSyntaxError(
+                "arity",
+                f"'{mnemonic}' takes {n} argument{'s' if n != 1 else ''}, got {len(args)}",
+                lineno,
+            )
+        values = ()
+        for parse_arg, arg in zip(parsers, args):
+            values += parse_arg(arg, lineno)
 
-        stmt = _check_statement(mnemonic, args, label, lineno, col)
         for sym, _ in pending:
             labels[sym] = len(statements)
         pending.clear()
         if label is not None:
             labels[label] = len(statements)
-        statements.append(stmt)
+        statements.append(Statement(mnemonic, values, label, lineno, col))
 
     if pending:
         sym, ln = pending[0]
@@ -197,125 +274,33 @@ def parse(text: str) -> SourceProgram:
     return SourceProgram(statements, labels)
 
 
-def _check_statement(
-    mnemonic: str, args: tuple, label: str | None, line: int, col: int
-) -> Statement:
-    def want(n: int):
-        if len(args) != n:
-            raise AsmSyntaxError(
-                "arity",
-                f"'{mnemonic}' takes {n} argument{'s' if n != 1 else ''}, got {len(args)}",
-                line,
-            )
-
-    if mnemonic in ("write", "set", "clear", "toggle", "capture"):
-        want(2)
-        parsed = (_parse_literal(args[0], line), _parse_literal(args[1], line))
-    elif mnemonic == "jif":
-        want(3)
-        cond = args[0].lower()
-        if cond not in CONDITION_NAMES:
-            raise AsmSyntaxError(
-                "bad-condition", f"unknown condition '{args[0]}'", line
-            )
-        if not _IDENT_RE.match(args[2]):
-            raise AsmSyntaxError("bad-label", f"malformed label '{args[2]}'", line)
-        parsed = (CONDITION_NAMES[cond], _parse_literal(args[1], line), args[2])
-    elif mnemonic == "loop":
-        want(2)
-        if not _IDENT_RE.match(args[1]):
-            raise AsmSyntaxError("bad-label", f"malformed label '{args[1]}'", line)
-        parsed = (_parse_literal(args[0], line), args[1])
-    elif mnemonic == "wait":
-        want(1)
-        parsed = (_parse_literal(args[0], line),)
-    elif mnemonic == "action":
-        want(2)
-        m = _GRP_RE.match(args[0].lower())
-        if not m:
-            raise AsmSyntaxError(
-                "bad-argument",
-                f"expected grp<N>.set or grp<N>.toggle, got '{args[0]}'",
-                line,
-            )
-        mode = ActionMode.SET_LEVELS if m.group(2) == "set" else ActionMode.TOGGLE
-        parsed = (int(m.group(1), 0), mode, _parse_literal(args[1], line))
-    else:
-        raise AsmSyntaxError("unknown-mnemonic", f"unknown mnemonic '{mnemonic}'", line)
-
-    return Statement(mnemonic, parsed, label, line, col)
-
-
-def _require_width(value: int, bits: int, what: str, line: int) -> int:
-    if not 0 <= value < (1 << bits):
-        raise OperandWidth(f"{what} 0x{value:x} exceeds {bits} bits", line)
-    return value
-
-
 def assemble(src: SourceProgram) -> Program:
-    """Resolve labels and produce a validated Program."""
+    """Resolve labels, build each command and validate the program.
+
+    A value `Command` rejects is an OperandWidth error at its statement's
+    line; a `validate_program` error is reported at the line of the
+    command it names.
+    """
     commands: list[Command] = []
-    loops: list[tuple[int, int, int]] = []  # (index, target, line)
+    for stmt in src.statements:
+        try:  # labels are the only str args; every other value is a number
+            args = [src.labels[a] if isinstance(a, str) else a for a in stmt.args]
+        except KeyError as e:
+            raise UndefinedLabel(e.args[0], stmt.line) from None
+        _, build = _SYNTAX[stmt.mnemonic]
+        try:
+            commands.append(build(*args))
+        except ValueError as e:
+            raise OperandWidth(str(e), stmt.line) from None
 
-    if len(src.statements) > MAX_PROGRAM_LENGTH:
-        raise CapacityExceeded(len(src.statements), MAX_PROGRAM_LENGTH)
-
-    for index, stmt in enumerate(src.statements):
-        ln = stmt.line
-        m = stmt.mnemonic
-        if m in ("write", "set", "clear", "toggle", "capture"):
-            offset = _require_width(stmt.args[0], 12, "register offset", ln)
-            value = _require_width(stmt.args[1], 32, "operand", ln)
-            opcode = {
-                "write": OpCode.WRITE,
-                "set": OpCode.SET,
-                "clear": OpCode.CLEAR,
-                "toggle": OpCode.TOGGLE,
-                "capture": OpCode.CAPTURE,
-            }[m]
-            commands.append(Command(opcode, offset, value))
-        elif m == "jif":
-            cond, operand, symbol = stmt.args
-            _require_width(operand, 32, "operand", ln)
-            target = _resolve(src, symbol, ln)
-            commands.append(Command.jump_if(cond, operand, target))
-        elif m == "loop":
-            count, symbol = stmt.args
-            _require_width(count, 32, "loop count", ln)
-            target = _resolve(src, symbol, ln)
-            if target > index:
-                raise TargetOutOfRange(
-                    f"loop target '{symbol}' is a forward reference", ln
-                )
-            commands.append(Command.loop(count, target))
-            loops.append((index, target, ln))
-        elif m == "wait":
-            commands.append(Command.wait(_require_width(stmt.args[0], 32, "cycle count", ln)))
-        elif m == "action":
-            group, mode, bits = stmt.args
-            _require_width(group, 8, "event group", ln)
-            _require_width(bits, 32, "line bits", ln)
-            commands.append(Command.action(mode, group, bits))
-        else:  # pragma: no cover - parse() rejects unknown mnemonics
-            raise AsmSyntaxError("unknown-mnemonic", m, ln)
-
-    # Non-nesting: a loop at index i with target t owns body [t, i]; no
-    # other loop command may sit inside that region.
-    for i, t, _ in loops:
-        for j, _, ln_j in loops:
-            if j != i and t <= j <= i:
-                raise NestedLoop(ln_j)
-
-    return Program(tuple(commands))
-
-
-def _resolve(src: SourceProgram, symbol: str, line: int) -> int:
-    if symbol not in src.labels:
-        raise UndefinedLabel(symbol, line)
-    target = src.labels[symbol]
-    if target > 0xFF:
-        raise TargetOutOfRange(f"target index {target} exceeds 8 bits", line)
-    return target
+    prog = Program(tuple(commands))
+    try:
+        validate_program(prog)
+    except AsmError as e:
+        if e.index is not None:
+            e.line = src.statements[e.index].line
+        raise
+    return prog
 
 
 def assemble_text(text: str) -> Program:
@@ -329,32 +314,39 @@ def validate_against_capacity(prog: Program, scm_lines: int) -> None:
     if len(prog) > scm_lines:
         raise CapacityExceeded(len(prog), scm_lines)
     for i, cmd in enumerate(prog):
-        if cmd.opcode in (OpCode.JUMP_IF, OpCode.LOOP) and cmd.target >= scm_lines:
-            raise TargetOutOfRange(
-                f"command {i} targets line {cmd.target} beyond {scm_lines} SCM lines",
-                0,
-            )
+        if cmd.opcode in _TARGET_OPCODES and cmd.target >= scm_lines:
+            raise TargetOutOfRange(f"command {i} targets line {cmd.target} beyond "
+                                   f"{scm_lines} SCM lines", 0)
+
+
+def _at(index: int, err: AsmError) -> AsmError:
+    err.index = index
+    return err
 
 
 def validate_program(prog: Program) -> None:
-    """Structural checks for programs built directly from commands."""
+    """Structural checks: length, targets, loop direction and nesting.
+
+    An error about one command carries its position as `index`.
+    """
     if len(prog) > MAX_PROGRAM_LENGTH:
         raise CapacityExceeded(len(prog), MAX_PROGRAM_LENGTH)
     loops = []
     for i, cmd in enumerate(prog):
-        if cmd.opcode in (OpCode.JUMP_IF, OpCode.LOOP):
-            if cmd.target >= len(prog):
-                raise TargetOutOfRange(
-                    f"command {i} targets line {cmd.target} past the program end", 0
-                )
+        if cmd.opcode in _TARGET_OPCODES and cmd.target >= len(prog):
+            raise _at(i, TargetOutOfRange(
+                f"command {i} targets line {cmd.target} past the program end", 0))
         if cmd.opcode is OpCode.LOOP:
             if cmd.target > i:
-                raise TargetOutOfRange(f"loop at {i} targets forward line {cmd.target}", 0)
+                raise _at(i, TargetOutOfRange(
+                    f"loop at {i} targets forward line {cmd.target}", 0))
             loops.append((i, cmd.target))
+    # A loop at index i with target t owns body [t, i]; no other loop
+    # command may sit inside that region.
     for i, t in loops:
         for j, _ in loops:
             if j != i and t <= j <= i:
-                raise NestedLoop(0)
+                raise _at(j, NestedLoop(0))
 
 
 _COND_TEXT = {v: k for k, v in CONDITION_NAMES.items()}
@@ -365,21 +357,17 @@ def disassemble(prog: Program) -> str:
 
     Jump and loop targets get synthesized labels L<index>.
     """
-    targets = sorted(
-        {c.target for c in prog if c.opcode in (OpCode.JUMP_IF, OpCode.LOOP)}
-    )
+    targets = sorted({c.target for c in prog if c.opcode in _TARGET_OPCODES})
     label_for = {t: f"L{t}" for t in targets}
 
     lines = []
     for i, cmd in enumerate(prog):
         op = cmd.opcode
-        if op in (OpCode.WRITE, OpCode.SET, OpCode.CLEAR, OpCode.TOGGLE, OpCode.CAPTURE):
+        if op in REGISTER_OPCODES:
             body = f"{op.name.lower()} 0x{cmd.field:x}, 0x{cmd.operand:x}"
         elif op is OpCode.JUMP_IF:
-            body = (
-                f"jif {_COND_TEXT[cmd.condition]}, 0x{cmd.operand:x}, "
-                f"{label_for[cmd.target]}"
-            )
+            body = (f"jif {_COND_TEXT[cmd.condition]}, 0x{cmd.operand:x}, "
+                    f"{label_for[cmd.target]}")
         elif op is OpCode.LOOP:
             body = f"loop {cmd.operand}, {label_for[cmd.target]}"
         elif op is OpCode.WAIT:

@@ -48,10 +48,6 @@ class BusTransaction:
     done: bool = False
     error: Optional[str] = None
 
-    def __post_init__(self):
-        if self.address % 4:
-            raise ValueError(f"address 0x{self.address:08x} is not word aligned")
-
 
 @dataclass
 class ArbiterState:

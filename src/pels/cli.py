@@ -59,7 +59,8 @@ def pelsc_main(argv=None) -> int:
         else:
             commands = isa.unpack_image(args.image.read_bytes())
             sys.stdout.write(asm.disassemble(asm.Program(tuple(commands))))
-    except (asm.AsmError, isa.UndefinedOpcode, isa.ImageFormatError, OSError) as e:
+    # ValueError: --scm-lines below 1, source that is not UTF-8, bad image.
+    except (asm.AsmError, OSError, ValueError) as e:
         return _fail(str(e))
     return EXIT_OK
 
@@ -138,13 +139,20 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _read_report(path: Path) -> dict:
+    report = json.loads(path.read_text())
+    if not isinstance(report, dict):
+        raise TypeError(f"{path} does not hold a JSON object")
+    return report
+
+
 def _cmd_compare(args) -> int:
     try:
-        a = json.loads(Path(args.pels_report).read_text())
-        b = json.loads(Path(args.baseline_report).read_text())
-        result = harness.compare(a, b, pels_mhz=args.pels_mhz,
+        result = harness.compare(_read_report(args.pels_report),
+                                 _read_report(args.baseline_report),
+                                 pels_mhz=args.pels_mhz,
                                  baseline_mhz=args.baseline_mhz)
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         return _fail(f"cannot read reports: {e}")
     except harness.MismatchedStimulus as e:
         return _fail(str(e))

@@ -36,6 +36,9 @@ from .asm import Program, validate_against_capacity
 from .bus import BusSegment, BusTransaction, TxnKind
 from .isa import ActionMode, Command, Condition, OpCode
 
+# Trigger FIFO depths a link may be configured with: 1..MAX_FIFO_DEPTH.
+MAX_FIFO_DEPTH = 16
+
 
 class TriggerMode(Enum):
     ALL_SELECTED_ACTIVE = "all"  # every masked line high
@@ -206,8 +209,8 @@ class Link:
     ):
         if scm_lines < 1:
             raise ValueError("scm_lines must be positive")
-        if not 1 <= fifo_depth <= 16:
-            raise ValueError("fifo_depth must be within 1..16")
+        if not 1 <= fifo_depth <= MAX_FIFO_DEPTH:
+            raise ValueError(f"fifo_depth must be within 1..{MAX_FIFO_DEPTH}")
         self.link_id = link_id
         self.config = config
         self.scm_lines = scm_lines

@@ -87,7 +87,8 @@ from .asm import (
     validate_against_capacity,
 )
 from .bus import BusModel
-from .core import EventFabric, FsmState, Link, LinkConfig, TriggerMode
+from .core import (MAX_FIFO_DEPTH, EventFabric, FsmState, Link, LinkConfig,
+                   TriggerMode)
 from .isa import ACTION_GROUP_WIDTH
 from .periph import (
     BaselineCpu,
@@ -409,7 +410,7 @@ def load_scenario(source: Union[dict, str, Path],
         sc.links.append(LinkSpec(
             scm_lines,
             config,
-            _int(lr.get("fifo_depth", 4), f"{loc}.fifo_depth", 1, 16),
+            _int(lr.get("fifo_depth", 4), f"{loc}.fifo_depth", 1, MAX_FIFO_DEPTH),
             _int(lr.get("segment", 0), f"{loc}.segment", 0, n_seg - 1),
             _load_program(lr.get("program", {"source": ""}), base_dir,
                           f"{loc}.program", scm_lines),
@@ -523,7 +524,8 @@ def _latency_block(samples: list[int]) -> dict:
 
 
 class Simulation:
-    """One scenario bound to fresh fabric/link/bus/peripheral state."""
+    """One scenario bound to fresh fabric/link/bus/peripheral state.
+    `run()` may be called once; build a new Simulation to run again."""
 
     def __init__(self, scenario: Scenario, trace_level: Optional[str] = None):
         level = trace_level or os.environ.get("PELS_TRACE_LEVEL", "full")
@@ -596,6 +598,8 @@ class Simulation:
         return min(due) if quiet and self.fabric.steady else t + 1
 
     def run(self) -> SimReport:
+        if self.trace.records:  # the header of an earlier run
+            raise RuntimeError("Simulation.run() is single-use; build a new Simulation")
         sc = self.scenario
         emit = self.trace.emit
         full = self._full

@@ -147,15 +147,11 @@ class Command:
 
     @classmethod
     def jump_if(cls, cond: Condition, operand: int, target: int) -> "Command":
-        if not 0 <= target <= 0xFF:
-            raise ValueError(f"jump target {target} exceeds 8 bits")
-        return cls(OpCode.JUMP_IF, (int(cond) << 8) | target, operand)
+        return cls(OpCode.JUMP_IF, _subfield(cond, target, "jump target"), operand)
 
     @classmethod
     def loop(cls, count: int, target: int) -> "Command":
-        if not 0 <= target <= 0xFF:
-            raise ValueError(f"loop target {target} exceeds 8 bits")
-        return cls(OpCode.LOOP, target, count)
+        return cls(OpCode.LOOP, _subfield(0, target, "loop target"), count)
 
     @classmethod
     def wait(cls, cycles: int) -> "Command":
@@ -163,9 +159,14 @@ class Command:
 
     @classmethod
     def action(cls, mode: ActionMode, group: int, bits: int) -> "Command":
-        if not 0 <= group <= 0xFF:
-            raise ValueError(f"event group {group} exceeds 8 bits")
-        return cls(OpCode.ACTION, (int(mode) << 8) | group, bits)
+        return cls(OpCode.ACTION, _subfield(mode, group, "event group"), bits)
+
+
+def _subfield(selector: int, index: int, what: str) -> int:
+    """A field of a 4-bit selector over an 8-bit index (target or group)."""
+    if not 0 <= index <= 0xFF:
+        raise ValueError(f"{what} {index} exceeds 8 bits")
+    return (int(selector) << 8) | index
 
 
 def encode(cmd: Command) -> int:

@@ -32,7 +32,9 @@ peripheral transactions the handler would have issued.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 
@@ -189,13 +191,9 @@ class Sensor(RegisterBlock):
         self._done_pulse = 0  # conversion-done, delivered by the next tick
 
     def _scheduled_value(self, t: int) -> int:
-        value = self.sample
-        for cycle, v in self.schedule:
-            if cycle <= t:
-                value = v
-            else:
-                break
-        return value
+        """Value of the last entry with cycle <= t (the current sample if none)."""
+        i = bisect_right(self.schedule, t, key=itemgetter(0))
+        return self.schedule[i - 1][1] if i else self.sample
 
     def latch(self, t: int) -> None:
         """Capture the scheduled value now (triggered mode conversion)."""

@@ -149,6 +149,12 @@ def test_assemble_operand_width():
         assemble_text("action grp256.set, 1")  # group beyond 8 bits
 
 
+def test_action_group_with_leading_zero_is_a_bad_literal():
+    with pytest.raises(AsmSyntaxError) as exc:
+        parse("wait 1\naction grp010.set, 1")
+    assert (exc.value.code, exc.value.line) == ("bad-literal", 2)
+
+
 def test_assemble_wait_encodes_zero_field():
     prog = assemble_text("wait 100")
     assert prog[0] == Command(OpCode.WAIT, 0, 100)
@@ -213,3 +219,38 @@ def test_roundtrip_is_fixed_point():
     prog2 = assemble(parse(text1))
     assert prog2 == prog
     assert disassemble(prog2) == text1
+
+
+# -------------------------------------------------------- diagnostics -----
+
+# One single-error program per diagnostic code, the error on line 2 or
+# later (capacity has no line): the class, code and line reported.
+DIAGNOSTICS = [
+    ("wait 1\nbogus 1", AsmSyntaxError, "unknown-mnemonic", 2),
+    ("wait 1\nset 0x10", AsmSyntaxError, "arity", 2),
+    ("wait 1\nwait 1,", AsmSyntaxError, "arity", 2),
+    ("wait 1\nwait 1x0", AsmSyntaxError, "bad-literal", 2),
+    ("top: wait 1\njif zz, 1, top", AsmSyntaxError, "bad-condition", 2),
+    ("wait 1\nloop 1, 9top", AsmSyntaxError, "bad-label", 2),
+    ("wait 1\naction grpx.set, 1", AsmSyntaxError, "bad-argument", 2),
+    ("a: wait 1\nwait 2\na: wait 3", AsmSyntaxError, "duplicate-label", 3),
+    ("wait 1\nend:", AsmSyntaxError, "dangling-label", 2),
+    ("wait 1\njif eq, 1, nowhere", UndefinedLabel, "undefined-label", 2),
+    ("wait 1\nset 0x1000, 1", OperandWidth, "operand-width", 2),
+    ("wait 1\nwrite 0, 0x100000000", OperandWidth, "operand-width", 2),
+    ("wait 1\nwait -1", OperandWidth, "operand-width", 2),
+    ("top: wait 1\njif eq, 0x100000000, top", OperandWidth, "operand-width", 2),
+    ("top: wait 1\nloop 0x100000000, top", OperandWidth, "operand-width", 2),
+    ("wait 1\naction grp256.set, 1", OperandWidth, "operand-width", 2),
+    ("wait 1\nloop 1, fwd\nfwd: wait 1", TargetOutOfRange, "target-range", 2),
+    ("outer: wait 1\ninner: wait 2\n loop 3, inner\n loop 3, outer",
+     NestedLoop, "nested-loop", 3),
+    ("wait 1\n" * 257, CapacityExceeded, "capacity", 0),
+]
+
+
+@pytest.mark.parametrize("source, cls, code, line", DIAGNOSTICS)
+def test_diagnostics_table(source, cls, code, line):
+    with pytest.raises(asm.AsmError) as exc:
+        assemble_text(source)
+    assert (type(exc.value), exc.value.code, exc.value.line) == (cls, code, line)

@@ -64,6 +64,24 @@ def test_pelsc_build_reports_syntax_error(tmp_path, capsys):
     assert "unknown mnemonic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines", ["0", "-3"])
+def test_pelsc_build_rejects_non_positive_scm_lines(tmp_path, capsys, lines):
+    src = tmp_path / "prog.pels"
+    src.write_text(SOURCE)
+    out = tmp_path / "x.bin"
+    assert pelsc_main(["build", str(src), "-o", str(out),
+                       "--scm-lines", lines]) == EXIT_CONFIG
+    assert "scm_lines must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pelsc_build_rejects_source_that_is_not_utf8(tmp_path, capsys):
+    src = tmp_path / "bad.pels"
+    src.write_bytes(b"wait 1\n\xff\xfe\n")
+    assert pelsc_main(["build", str(src), "-o", str(tmp_path / "x.bin")]) == EXIT_CONFIG
+    assert "utf-8" in capsys.readouterr().err
+
+
 def _write_scenario(tmp_path, scenario, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(scenario))
@@ -138,6 +156,15 @@ def test_pels_compare_cli(tmp_path, capsys):
     assert pels_main(["compare", str(ra), str(rb)]) == EXIT_OK
     result = json.loads(capsys.readouterr().out)
     assert result["latency"]["ratio"] == pytest.approx(16 / 7)
+
+
+def test_pels_compare_rejects_report_that_is_not_an_object(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text("[1]")
+    b = tmp_path / "b.json"
+    b.write_text("{}")
+    assert pels_main(["compare", str(a), str(b)]) == EXIT_CONFIG
+    assert "does not hold a JSON object" in capsys.readouterr().err
 
 
 def test_pels_sweep_cli(tmp_path, capsys):

@@ -250,6 +250,15 @@ def test_run_is_pure_against_scenario_reuse():
     assert t1.getvalue() == t2.getvalue()
 
 
+def test_simulation_run_is_single_use():
+    sim = Simulation(load_scenario(SCENARIO_DIR / "sequenced.json"))
+    first = sim.run().to_json()
+    with pytest.raises(RuntimeError, match="new Simulation"):
+        sim.run()
+    again = Simulation(load_scenario(SCENARIO_DIR / "sequenced.json")).run()
+    assert again.to_json() == first
+
+
 # ------------------------------------------------------------------ trace --
 
 def test_empty_scenario_trace_is_header_and_quiescence():

@@ -224,6 +224,23 @@ def test_sensor_triggered_mode_latches_on_start():
     assert s.read(Sensor.SAMPLE, 26) == 9
 
 
+@settings(max_examples=300, deadline=None)
+@given(schedule=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2**32 - 1)),
+                         max_size=12),
+       times=st.lists(st.integers(0, 45), max_size=8))
+def test_sensor_latch_matches_linear_scan(schedule, times):
+    """Each latch takes the last schedule entry with cycle <= t; among
+    entries of one cycle that is the last in sorted order."""
+    s = Sensor("s", 0x4000_0000, schedule=schedule, triggered=True)
+    expected = 0
+    for t in sorted(times):
+        for cycle, value in sorted(schedule):
+            if cycle <= t:
+                expected = value
+        s.latch(t)
+        assert s.sample == expected
+
+
 # --------------------------------------------------------------- baseline --
 
 def test_baseline_default_latency_is_16():
