@@ -70,10 +70,9 @@ class AsmError(Exception):
     code = "asm-error"
     index: int | None = None
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
+    def __init__(self, message: str, line: int = 0):
         self.message = message
         self.line = line
-        self.col = col
         super().__init__(message)
 
     def __str__(self) -> str:
@@ -83,9 +82,9 @@ class AsmError(Exception):
 class AsmSyntaxError(AsmError):
     """Malformed source text: bad mnemonic, arity, literal, or label."""
 
-    def __init__(self, code: str, message: str, line: int, col: int = 0):
+    def __init__(self, code: str, message: str, line: int):
         self.code = code
-        super().__init__(message, line, col)
+        super().__init__(message, line)
 
 
 class UndefinedLabel(AsmError):
@@ -134,7 +133,6 @@ class Statement:
     args: tuple
     label: str | None
     line: int
-    col: int
 
 
 @dataclass
@@ -217,8 +215,7 @@ def parse(text: str) -> SourceProgram:
     pending: list[tuple[str, int]] = []  # labels waiting for a statement
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0]
-        stripped = code.strip()
+        stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
 
@@ -237,7 +234,6 @@ def parse(text: str) -> SourceProgram:
             pending.append((label, lineno))
             continue
 
-        col = len(code) - len(code.lstrip()) + 1
         parts = stripped.split(None, 1)
         mnemonic = parts[0].lower()
         argtext = parts[1] if len(parts) > 1 else ""
@@ -264,7 +260,7 @@ def parse(text: str) -> SourceProgram:
         pending.clear()
         if label is not None:
             labels[label] = len(statements)
-        statements.append(Statement(mnemonic, values, label, lineno, col))
+        statements.append(Statement(mnemonic, values, label, lineno))
 
     if pending:
         sym, ln = pending[0]

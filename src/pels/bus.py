@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from .periph import RegisterBlock
 
@@ -55,8 +55,10 @@ class ArbiterState:
     rr_pointer: int = 0
 
 
-def arbitrate(state: ArbiterState, requests: set[int]) -> Optional[int]:
-    """Grant the first requesting master scanning from rr_pointer + 1."""
+def arbitrate(state: ArbiterState, requests: Collection[int]) -> Optional[int]:
+    """Grant the first requesting master scanning from rr_pointer + 1;
+    `requests` is any collection of master ids, such as a segment's
+    `pending` dict."""
     if not requests:
         return None
     for step in range(1, state.n_masters + 1):
@@ -140,7 +142,7 @@ class BusSegment:
             self.in_flight = None
 
         if self.in_flight is None and self.pending:
-            granted = arbitrate(self.arbiter, set(self.pending))
+            granted = arbitrate(self.arbiter, self.pending)
             if granted is not None:
                 txn = self.pending.pop(granted)
                 txn.grant_cycle = t
@@ -224,7 +226,3 @@ class BusModel:
     def step(self, t: int) -> None:
         for seg in self.segments:
             seg.step(t)
-
-    @property
-    def idle(self) -> bool:
-        return all(seg.idle for seg in self.segments)

@@ -125,7 +125,6 @@ class EventFabric:
             raise ValueError("fabric needs at least one input and output line")
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
-        self.n_groups = (n_outputs + isa.ACTION_GROUP_WIDTH - 1) // isa.ACTION_GROUP_WIDTH
         self.loopback = dict(loopback or {})
         for out_line, in_line in self.loopback.items():
             if not 0 <= out_line < n_outputs:
@@ -133,6 +132,7 @@ class EventFabric:
             if not 0 <= in_line < n_inputs:
                 raise ValueError(f"loopback destination line {in_line} out of range")
         self.inputs = 0        # settled input vector for the current cycle
+        self.rose = 0          # input lines asserted now but not last cycle
         self.outputs = 0       # action-driven output levels
         self._level_inputs = 0
         self._prev_level_inputs = 0
@@ -144,6 +144,12 @@ class EventFabric:
         (one-cycle registration). Pulses are one-cycle events excluded
         from the edge detector's previous sample, so a new pulse always
         counts as a fresh assertion.
+
+        `rose` holds the lines that are asserted now and were not in the
+        edge detector's previous sample. A trigger predicate can newly
+        hold only if a line of its mask rose: with `rose & mask == 0`
+        every masked line asserted now was already asserted, so in
+        either mode the predicate held before if it holds now.
         """
         loop_in = 0
         for out_line, in_line in self.loopback.items():
@@ -152,6 +158,12 @@ class EventFabric:
         self._prev_level_inputs = self._level_inputs
         self._level_inputs = (stim_levels | loop_in) & ((1 << self.n_inputs) - 1)
         self.inputs = self._level_inputs | (pulses & ((1 << self.n_inputs) - 1))
+        self.rose = self.inputs & ~self._prev_level_inputs
+
+    @property
+    def n_groups(self) -> int:
+        """Action output groups: the outputs in groups of ACTION_GROUP_WIDTH."""
+        return (self.n_outputs + isa.ACTION_GROUP_WIDTH - 1) // isa.ACTION_GROUP_WIDTH
 
     @property
     def steady(self) -> bool:
@@ -162,7 +174,12 @@ class EventFabric:
         return self.inputs == self._level_inputs == self._prev_level_inputs
 
     def rising_trigger(self, cfg: LinkConfig) -> bool:
-        """True when the trigger predicate newly holds this cycle."""
+        """True when the trigger predicate newly holds this cycle.
+
+        Callers skip the call when `rose & cfg.event_mask` is 0, since it
+        is then False (see `settle`); `Link.step` and the harness's
+        baseline check both do.
+        """
         return evaluate_trigger(self.inputs, cfg) and not evaluate_trigger(
             self._prev_level_inputs, cfg
         )
@@ -196,7 +213,18 @@ class LinkStats:
 
 
 class Link:
-    """One linking unit: trigger FIFO, private SCM, execution-unit FSM."""
+    """One linking unit: trigger FIFO, private SCM, execution-unit FSM.
+
+    `step` runs once per simulated cycle and does only the work that can
+    change state in it. A link parked on the bus (its transaction posted
+    and not yet complete) returns its state without entering the FSM;
+    the FSM would only find the transfer unfinished. The trigger
+    predicate is checked only when a line of `event_mask` rose
+    (`EventFabric.rose`). A fetch takes its command from the loaded
+    `Program`, which is never decoded: `scm` is the program's encoded
+    word image, kept for inspection, and writing it does not change what
+    the link runs.
+    """
 
     def __init__(
         self,
@@ -213,8 +241,8 @@ class Link:
             raise ValueError(f"fifo_depth must be within 1..{MAX_FIFO_DEPTH}")
         self.link_id = link_id
         self.config = config
-        self.scm_lines = scm_lines
         self.scm = [isa.NOP_SENTINEL] * scm_lines
+        self._commands: tuple[Command, ...] = ()  # the loaded program
         self.fifo: deque[TriggerToken] = deque()
         self.fifo_depth = fifo_depth
         self.master_id = link_id if master_id is None else master_id
@@ -237,6 +265,11 @@ class Link:
         self._last_effect: Optional[int] = None
         self.latency_samples: list[int] = []
 
+    @property
+    def scm_lines(self) -> int:
+        """SCM capacity in lines."""
+        return len(self.scm)
+
     # -- program load ----------------------------------------------------
 
     def load_program(self, prog: Program) -> None:
@@ -245,16 +278,23 @@ class Link:
         validate_against_capacity(prog, self.scm_lines)
         for i in range(self.scm_lines):
             self.scm[i] = isa.encode(prog[i]) if i < len(prog) else isa.NOP_SENTINEL
+        self._commands = prog.commands
         self.pc = 0
 
     # -- one global clock cycle -------------------------------------------
 
     def step(self, t: int, fabric: EventFabric, segment: BusSegment) -> FsmState:
         """Advance one cycle; returns the state whose work ran this cycle."""
-        if not self.config.enabled:
+        config = self.config
+        if not config.enabled:
             return FsmState.IDLE
-        performed = self._fsm_advance(t, fabric, segment)
-        self._detect_trigger(t, fabric)
+        txn = self.txn
+        if txn is not None and not txn.done:
+            performed = self.state  # parked: the transfer is still on the bus
+        else:
+            performed = self._fsm_advance(t, fabric, segment)
+        if fabric.rose & config.event_mask:
+            self._detect_trigger(t, fabric)
         return performed
 
     def _detect_trigger(self, t: int, fabric: EventFabric) -> None:
@@ -332,16 +372,16 @@ class Link:
         raise AssertionError(f"unreachable state {st}")
 
     def _do_fetch(self, t: int) -> FsmState:
-        word = self.scm[self.pc] if self.pc < self.scm_lines else isa.NOP_SENTINEL
-        if isa.is_sentinel(word):
+        if self.pc >= len(self._commands):  # a blank SCM line, or past the end
             self._complete_program(t)
             return FsmState.FETCH
-        try:
-            self.cmd = isa.decode(word)
-        except isa.UndefinedOpcode as e:
-            return self._abort(t, str(e))
+        return self._issue(self._commands[self.pc])
+
+    def _issue(self, cmd: Command) -> FsmState:
+        """Latch the fetched command and pick the state that executes it."""
+        self.cmd = cmd
         self.stats.commands_executed += 1
-        op = self.cmd.opcode
+        op = cmd.opcode
         if op in (OpCode.ACTION, OpCode.JUMP_IF, OpCode.LOOP):
             self.state = FsmState.EXEC_ACTION
         elif op in isa.RMW_OPCODES or op is OpCode.CAPTURE:

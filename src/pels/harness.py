@@ -63,6 +63,22 @@ skipped cycles are exactly the ones that would change no state and
 write no trace record, since `link` records are written only when a
 link's (fsm, pc) changes.
 
+Busy cycles cost only the links that can act in them, and none of the
+shortcuts can change a report or a trace:
+- A link parked on the bus (its transaction posted, not yet done) returns
+  its state without entering its FSM. The FSM would find the transfer
+  unfinished and return that same state; `done` is set by `bus.step`,
+  which runs after the links, so the cycle that sees it is the one after
+  `complete_cycle`.
+- A trigger predicate, a link's or the baseline's, is evaluated only when
+  a line of its mask rose (`EventFabric.rose`). With no masked line newly
+  asserted, the predicate held in the previous sample if it holds now, so
+  it cannot rise in either trigger mode.
+- A fetch takes its command from the `Program` given to
+  `Link.load_program` rather than decoding the SCM word. The word is
+  `isa.encode` of that command, and decoding an encoded command gives
+  the command back (`tests/test_isa.py`), so nothing is decoded at all.
+
 Within a run, master ids 0..n_links-1 are the links and the baseline
 model (when present) takes the next id. The baseline is an accounting
 model: it does not contend on the simulated bus; its transaction counts
@@ -583,8 +599,12 @@ class Simulation:
         """The cycle to simulate after cycle t, or None when the run is
         quiescent. `quiet` is True when no link did any work in cycle t;
         then no output changed either, so loopback holds."""
-        if not self.bus.idle or not all(link.idle for link in self.links):
-            return t + 1
+        for segment in self.bus.segments:
+            if not segment.idle:
+                return t + 1
+        for link in self.links:
+            if not link.idle:
+                return t + 1
         due = [c for c in (b.next_event(t) for b in self.blocks) if c is not None]
         i = bisect_right(self._stimulus_cycles, t)
         if i < len(self._stimulus_cycles):
@@ -646,7 +666,8 @@ class Simulation:
                          fsm=performed.value, pc=link.pc)
 
             if baseline:
-                if fabric.rising_trigger(self._baseline_cfg):
+                if (fabric.rose & self._baseline_cfg.event_mask
+                        and fabric.rising_trigger(self._baseline_cfg)):
                     completion = baseline.handle_event(t)
                     if full:
                         emit(kind="baseline", t=t, event="irq", completion=completion)

@@ -7,7 +7,9 @@ test file's directory on sys.path.
 import random
 from pathlib import Path
 
+from pels import isa
 from pels.asm import Program, validate_program
+from pels.core import EventFabric, FsmState, Link
 from pels.harness import Simulation
 from pels.periph import Sensor, Timer
 from pels.isa import ActionMode, Command, Condition, OpCode
@@ -97,15 +99,56 @@ def _active(block) -> bool:
     return False
 
 
+class _ReferenceLink(Link):
+    """A link without the kernel's shortcuts: every step enters the FSM
+    and evaluates the trigger predicate, and every fetch decodes its SCM
+    word, so the reference also runs the image through the codec."""
+
+    def step(self, t, fabric, segment):
+        if not self.config.enabled:
+            return FsmState.IDLE
+        performed = self._fsm_advance(t, fabric, segment)
+        self._detect_trigger(t, fabric)
+        return performed
+
+    def _do_fetch(self, t):
+        word = self.scm[self.pc] if self.pc < self.scm_lines else isa.NOP_SENTINEL
+        if isa.is_sentinel(word):
+            self._complete_program(t)
+            return FsmState.FETCH
+        try:
+            cmd = isa.decode(word)
+        except isa.UndefinedOpcode as e:
+            return self._abort(t, str(e))
+        return self._issue(cmd)
+
+
+class _UnfilteredFabric(EventFabric):
+    """Reports every line as risen, so the harness passes each baseline
+    trigger check on to `rising_trigger`."""
+
+    def settle(self, stim_levels, pulses):
+        super().settle(stim_levels, pulses)
+        self.rose = -1
+
+
 class PerCycleSimulation(Simulation):
-    """Reference kernel: simulates every cycle, and ends the run on the
-    original quiescence test (no stimulus left to apply; links, bus and
-    baseline idle; no block that can still produce events)."""
+    """Reference kernel: simulates every cycle, steps `_ReferenceLink`s
+    on an `_UnfilteredFabric`, and ends the run on the original
+    quiescence test (no stimulus left to apply; links, bus and baseline
+    idle; no block that can still produce events)."""
+
+    def __init__(self, scenario, trace_level=None):
+        super().__init__(scenario, trace_level)
+        # Same state, reference behaviour: swap the classes in place.
+        self.fabric.__class__ = _UnfilteredFabric
+        for link in self.links:
+            link.__class__ = _ReferenceLink
 
     def _next_cycle(self, t, quiet):
         if ((not self._stimulus_cycles or self._stimulus_cycles[-1] <= t)
                 and all(link.idle for link in self.links)
-                and self.bus.idle
+                and all(segment.idle for segment in self.bus.segments)
                 and (self.baseline is None or self.baseline.idle)
                 and not any(_active(b) for b in self.blocks)):
             return None

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pels import isa
 from pels.asm import CapacityExceeded, Program
 from pels.bus import BusSegment
 from pels.core import (
@@ -311,6 +312,60 @@ def test_disabled_link_is_isolated():
     assert b.link.stats.trigger_events == 0
     assert b.seg.grants == 0
     assert b.fabric.outputs == 0
+
+
+@pytest.mark.parametrize("mode", [ANY, ALL])
+def test_no_trigger_rises_unless_a_masked_line_rose(mode):
+    # Exhaustive over 4 lines: the rise prefilter in Link.step and the
+    # harness's baseline check skip only calls that would return False.
+    fab = EventFabric(4, 4)
+    configs = [cfg(mask=mask, mode=mode) for mask in range(16)]
+    for prev in range(16):
+        for inputs in range(16):
+            fab.settle(prev, 0)
+            fab.settle(0, inputs)  # previous level sample prev, inputs as pulses
+            assert fab.rose == inputs & ~prev
+            for c in configs:
+                if fab.rose & c.event_mask == 0:
+                    assert not fab.rising_trigger(c)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_held_level_checks_the_trigger_only_when_it_rises(monkeypatch):
+    calls = _count_calls(monkeypatch, EventFabric, "rising_trigger")
+    b = Bench([Command.action(ActionMode.TOGGLE, 0, 1)], config=cfg(mask=0b11))
+    b.run(30, stim_fn=lambda t: 0b01 if t < 20 else 0b11)
+    assert b.link.stats.trigger_events == 1
+    assert len(calls) == 2  # line 0 rises at 0, line 1 at 20
+
+
+def test_fetch_runs_the_loaded_commands_without_decoding(monkeypatch):
+    decodes = _count_calls(monkeypatch, isa, "decode")
+    b = Bench([Command.action(ActionMode.TOGGLE, 0, 1), Command.loop(9, 0)])
+    b.run(100, pulse_fn=lambda t: 1 if t in (0, 50) else 0)
+    assert b.link.stats.commands_executed == 2 * 2 * 10
+    assert b.fabric.outputs == 0  # 20 toggles
+    assert decodes == []
+
+
+def test_reloaded_program_runs_the_new_commands():
+    b = Bench([Command.action(ActionMode.SET_LEVELS, 0, 0b01)])
+    b.run(5, stim_fn=lambda t: 1)
+    assert b.fabric.outputs == 0b01
+    b.link.load_program(Program((Command.action(ActionMode.SET_LEVELS, 0, 0b10),)))
+    b.run(6, stim_fn=lambda t: 1 if t >= 7 else 0)
+    assert b.fabric.outputs == 0b10
+    assert b.link.latency_samples == [2, 2]
 
 
 # ----------------------------------------------------------- error handling --

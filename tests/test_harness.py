@@ -494,11 +494,14 @@ _VALUES = st.integers(0, 40) | st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def _programs(draw, max_len: int, words: int):
+def _programs(draw, max_len: int, words: int, errors: bool = True):
     """Terminating programs over one block: jumps go forward, loops back
-    without nesting, waits are short, and offsets mostly exist."""
+    without nesting, waits are short, and offsets mostly exist (always,
+    unless `errors`)."""
     n = draw(st.integers(0, max_len))
-    offsets = st.integers(0, words - 1) | st.just(words)  # words: decode error
+    offsets = st.integers(0, words - 1)
+    if errors:
+        offsets |= st.just(words)  # words: decode error
     cmds = []
     loop_floor = 0
     for i in range(n):
@@ -529,10 +532,17 @@ def _programs(draw, max_len: int, words: int):
 
 
 @st.composite
-def _scenarios(draw) -> dict:
+def _scenarios(draw, settle: bool = False) -> dict:
     """Whole scenarios: sparse stimuli, timers, sensors in both modes,
     loopback, the baseline, and links whose programs read and write the
-    timer and sensor registers."""
+    timer and sensor registers.
+
+    With `settle`, the draws favour runs that end quiescent after bus
+    work: at least one link, four event lines and 4-bit masks, so
+    stimuli often hit a mask; no decode errors and no timer events; at
+    least four stimuli and a long tail after the horizon."""
+    lines = st.integers(0, 3) if settle else _EVENT_LINES
+    masks = st.integers(0, 15) if settle else st.integers(0, 255)
     n_seg = draw(st.integers(1, 2))
     horizon = draw(st.integers(1, 2000))
     cycles = st.integers(0, horizon + 50)
@@ -543,43 +553,47 @@ def _scenarios(draw) -> dict:
          "size_words": 4, "segment": segs[0]},
         {"type": "timer", "name": "timer", "base_address": _BLOCKS[1][1],
          "period": draw(st.integers(0, 300)), "enabled": draw(st.booleans()),
-         "event_line": draw(st.none() | _EVENT_LINES), "segment": segs[1]},
+         "event_line": None if settle else draw(st.none() | lines),
+         "segment": segs[1]},
         {"type": "sensor", "name": "sensor", "base_address": _BLOCKS[2][1],
          "schedule": [list(e) for e in schedule],
-         "event_line": draw(st.none() | _EVENT_LINES),
+         "event_line": draw(st.none() | lines),
          "triggered": draw(st.booleans()),
-         "trigger_line": draw(st.none() | _EVENT_LINES), "segment": segs[2]},
+         "trigger_line": draw(st.none() | lines), "segment": segs[2]},
     ]
     links = []
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(1 if settle else 0, 4))):
         block = draw(st.integers(0, len(_BLOCKS) - 1))
         _, base, words = _BLOCKS[block]
         scm_lines = draw(st.integers(1, 6))
         links.append({
             "scm_lines": scm_lines,
-            "event_mask": draw(st.integers(0, 255)),
+            "event_mask": draw(masks),
             "trigger_mode": draw(st.sampled_from(["any", "all"])),
             "base_address": base,
             "enabled": draw(st.sampled_from([True, True, True, False])),
             "fifo_depth": draw(st.integers(1, 4)),
             # mostly the segment of its block; otherwise decode errors
-            "segment": draw(st.sampled_from([segs[block]] * 3 + list(range(n_seg)))),
-            "program": {"source": disassemble(draw(_programs(scm_lines, words)))},
+            "segment": segs[block] if settle else draw(
+                st.sampled_from([segs[block]] * 3 + list(range(n_seg)))),
+            "program": {"source": disassemble(
+                draw(_programs(scm_lines, words, errors=not settle)))},
         })
     scenario = {
-        "clock_limit": horizon,
+        "clock_limit": horizon + (4000 if settle else 0),
         "fabric": {"loopback": draw(st.dictionaries(
-            st.integers(0, 7).map(str), _EVENT_LINES, max_size=3))},
+            st.integers(0, 7).map(str), lines, max_size=3))},
         "bus": {"segments": n_seg, "transfer_cycles": draw(st.integers(1, 3))},
         "links": links,
         "peripherals": peripherals,
         "stimuli": [list(e) for e in draw(st.lists(
-            st.tuples(cycles, _EVENT_LINES, st.integers(0, 1)), max_size=8))],
+            st.tuples(cycles, lines, st.integers(0, 1)),
+            min_size=4 if settle else 0, max_size=8))],
     }
     if draw(st.booleans()):
         scenario["baseline"] = {"interrupt_entry_cycles": draw(st.integers(0, 12)),
                                 "handler_cycles": draw(st.integers(0, 8)),
-                                "event_mask": draw(st.integers(0, 255))}
+                                "event_mask": draw(masks)}
     return scenario
 
 
@@ -601,6 +615,33 @@ def test_skipping_kernel_matches_the_per_cycle_reference(raw):
     for entry in fast.per_link:
         t = entry["triggers"]
         assert t["accepted"] + t["dropped"] == t["events"]
+    if fast.end_reason == "quiescent" and not fast.errors:
+        _check_bus_and_latency(fast, scenario)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_scenarios(settle=True))
+def test_settled_runs_keep_the_bus_and_latency_invariants(raw):
+    scenario = load_scenario(raw)
+    fast = Simulation(scenario, "full").run()
+    assert fast.to_dict() == PerCycleSimulation(scenario, "off").run().to_dict()
+    if fast.end_reason == "quiescent" and not fast.errors:
+        _check_bus_and_latency(fast, scenario)
+
+
+def _check_bus_and_latency(report, scenario):
+    """On a run that ended quiescent without errors every transfer
+    finished: grants, per-master counts and link counts agree, and every
+    program that runs a command takes at least 2 cycles."""
+    links = report.per_link
+    assert report.bus["grants"] == sum(e["bus_reads"] + e["bus_writes"] for e in links)
+    for entry, spec in zip(links, scenario.links):
+        master = report.bus["per_master"].get(str(entry["link"]),
+                                              {"reads": 0, "writes": 0})
+        assert (master["reads"], master["writes"]) == (entry["bus_reads"],
+                                                       entry["bus_writes"])
+        if len(spec.program):
+            assert all(s >= 2 for s in entry["latency"]["samples"])
 
 
 class _CountingSimulation(Simulation):
