@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Callable, Collection, Optional
 
 from .periph import RegisterBlock
+from .trace import BUS_DATA, BUS_DATA_ERROR, BUS_ERROR, BUS_GRANT, BUS_REQUEST
 
 
 class TxnKind(Enum):
@@ -122,15 +123,8 @@ class BusSegment:
         txn.issue_cycle = cycle
         self.pending[txn.master_id] = txn
         if self.trace:
-            self.trace(
-                kind="bus",
-                t=cycle,
-                seg=self.seg_id,
-                event="request",
-                master=txn.master_id,
-                rw=txn.kind.value,
-                addr=f"0x{txn.address:08x}",
-            )
+            self.trace(BUS_REQUEST, cycle, self.seg_id, "request", txn.master_id,
+                       txn.kind.value, txn.address)
 
     def step(self, t: int) -> list[BusTransaction]:
         """Advance one cycle: finalize a completing transfer, then grant."""
@@ -153,16 +147,8 @@ class BusSegment:
                 hist[wait] = hist.get(wait, 0) + 1
                 self.grants += 1
                 if self.trace:
-                    self.trace(
-                        kind="bus",
-                        t=t,
-                        seg=self.seg_id,
-                        event="grant",
-                        master=granted,
-                        rw=txn.kind.value,
-                        addr=f"0x{txn.address:08x}",
-                        wait=wait,
-                    )
+                    self.trace(BUS_GRANT, t, self.seg_id, "grant", granted,
+                               txn.kind.value, txn.address, wait)
         return done
 
     def _finalize(self, txn: BusTransaction, t: int) -> None:
@@ -182,22 +168,18 @@ class BusSegment:
             txn.error = f"decode: {e}"
         txn.done = True
         if self.trace:
-            rec = dict(
-                kind="bus",
-                t=t,
-                seg=self.seg_id,
-                event="complete",
-                master=txn.master_id,
-                rw=txn.kind.value,
-                addr=f"0x{txn.address:08x}",
-            )
-            if txn.kind is TxnKind.READ and txn.error is None:
-                rec["data"] = f"0x{txn.result:08x}"
-            elif txn.kind is TxnKind.WRITE:
-                rec["data"] = f"0x{txn.data:08x}"
-            if txn.error:
-                rec["error"] = txn.error
-            self.trace(**rec)
+            # data: the word read or written; a failed read has none
+            head = (t, self.seg_id, "complete", txn.master_id, txn.kind.value,
+                    txn.address)
+            if txn.kind is TxnKind.WRITE:
+                if txn.error:
+                    self.trace(BUS_DATA_ERROR, *head, txn.data, txn.error)
+                else:
+                    self.trace(BUS_DATA, *head, txn.data)
+            elif txn.error:
+                self.trace(BUS_ERROR, *head, txn.error)
+            else:
+                self.trace(BUS_DATA, *head, txn.result)
 
     @property
     def idle(self) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import asm, harness, isa
@@ -102,14 +103,24 @@ def _cmd_run(args) -> int:
     except ValueError as e:
         return _fail(f"--check {args.check!r}: {e}")
     try:
-        scenario = harness.load_scenario(args.scenario)
-        report = harness.run(scenario, trace_level=args.trace_level)
+        sim = harness.Simulation(harness.load_scenario(args.scenario),
+                                 args.trace_level)
     except harness.ConfigError as e:
         return _fail(str(e))
-    if args.trace:
-        harness.emit_trace(report, args.trace)
-    if args.report:
-        Path(args.report).write_text(report.to_json() + "\n")
+    with ExitStack() as outputs:
+        # Opened before the run, so an unwritable path fails in no time.
+        sinks = {}
+        for flag, path in (("--trace", args.trace), ("--report", args.report)):
+            if path is not None:
+                try:
+                    sinks[flag] = outputs.enter_context(open(path, "w"))
+                except OSError as e:
+                    return _fail(f"{flag} {path}: cannot write: {e.strerror or e}")
+        report = sim.run()
+        if "--trace" in sinks:
+            harness.emit_trace(report, sinks["--trace"])
+        if "--report" in sinks:
+            sinks["--report"].write(report.to_json() + "\n")
 
     summary = {
         "cycles": report.cycles,

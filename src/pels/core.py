@@ -35,6 +35,7 @@ from . import isa
 from .asm import Program, validate_against_capacity
 from .bus import BusSegment, BusTransaction, TxnKind
 from .isa import ActionMode, Command, Condition, OpCode
+from .trace import ACTION, ERROR, PROGRAM, PROGRAM_LATENCY, TRIGGER
 
 # Trigger FIFO depths a link may be configured with: 1..MAX_FIFO_DEPTH.
 MAX_FIFO_DEPTH = 16
@@ -311,8 +312,7 @@ class Link:
             self.stats.triggers_dropped += 1  # drop-newest keeps queued order
             status = "dropped"
         if self.trace:
-            self.trace(kind="trigger", t=t, link=self.link_id, token=token.seq,
-                       status=status)
+            self.trace(TRIGGER, t, self.link_id, token.seq, status)
 
     def _fsm_advance(self, t: int, fabric: EventFabric, segment: BusSegment) -> FsmState:
         st = self.state
@@ -326,8 +326,7 @@ class Link:
             self.pc = 0
             self.loop_active = False
             if self.trace:
-                self.trace(kind="program", t=t, link=self.link_id,
-                           token=token.seq, event="start")
+                self.trace(PROGRAM, t, self.link_id, token.seq, "start")
             return self._do_fetch(t)
 
         if st is FsmState.FETCH:
@@ -410,9 +409,8 @@ class Link:
                 return
             self._last_effect = t
             if self.trace:
-                self.trace(kind="action", t=t, link=self.link_id,
-                           group=cmd.action_group, mode=cmd.action_mode.name,
-                           out=f"0x{fabric.outputs:x}")
+                self.trace(ACTION, t, self.link_id, cmd.action_group,
+                           cmd.action_mode.name, fabric.outputs)
             self.pc += 1
         elif op is OpCode.JUMP_IF:
             if execute_jump_if(self.capture_reg, cmd.condition, cmd.operand):
@@ -462,9 +460,8 @@ class Link:
             completion = self._last_effect if self._last_effect is not None else t
             self.latency_samples.append(completion - token.cycle)
             if self.trace:
-                self.trace(kind="program", t=t, link=self.link_id,
-                           token=token.seq, event="complete",
-                           latency=completion - token.cycle)
+                self.trace(PROGRAM_LATENCY, t, self.link_id, token.seq,
+                           "complete", completion - token.cycle)
         self._running = None
 
     def _abort(self, t: int, detail: str) -> FsmState:
@@ -472,10 +469,9 @@ class Link:
         self.error = True
         self.error_detail = self.error_detail or detail
         if self.trace:
-            self.trace(kind="error", t=t, link=self.link_id, detail=detail)
+            self.trace(ERROR, t, self.link_id, detail)
             if self._running is not None:
-                self.trace(kind="program", t=t, link=self.link_id,
-                           token=self._running.seq, event="aborted")
+                self.trace(PROGRAM, t, self.link_id, self._running.seq, "aborted")
         self.txn = None
         self.cmd = None
         self.loop_active = False

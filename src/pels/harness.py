@@ -83,6 +83,11 @@ Within a run, master ids 0..n_links-1 are the links and the baseline
 model (when present) takes the next id. The baseline is an accounting
 model: it does not contend on the simulated bus; its transaction counts
 are reported separately.
+
+The trace schema, `Trace` and `emit_trace` live in `trace.py` and are
+re-exported here. A run's trace is held as one (shape, values...) tuple
+per record; `SimReport.trace` is a read-only sequence that shows each
+record as the dict its JSON line encodes.
 """
 
 from __future__ import annotations
@@ -115,46 +120,10 @@ from .periph import (
     Sensor,
     Timer,
 )
-
-TRACE_LEVELS = ("off", "grants", "full")
-
-# Trace format 2: JSON Lines, one record per line. Every record has
-# `kind`; every record but `header` has `t`, the cycle it belongs to.
-#
-#   header    version, scenario_digest, stimulus_digest, trace_level
-#   stimulus  line, level               a stimulus setting was applied
-#   fabric    inputs, outputs           the settled input vector or the
-#                                       output levels changed (hex strings)
-#   trigger   link, token, status       a trigger edge; status "accepted"
-#                                       or "dropped" (FIFO full)
-#   program   link, token, event        event "start", "complete" (with
-#             [, latency]               latency in cycles) or "aborted"
-#   action    link, group, mode, out    an action command drove its group;
-#                                       out is the new output vector (hex)
-#   link      link, fsm, pc             the FSM state whose work ran this
-#                                       cycle and the program counter;
-#                                       written only when (fsm, pc) differs
-#                                       from the link's previous record
-#   error     link, detail              a bus or decode failure aborted
-#                                       the link's program
-#   bus       seg, event, master, rw,   event "request", "grant" (with wait,
-#             addr [, wait] [, data]    cycles since the request) or
-#             [, error]                 "complete" (with data: the read or
-#                                       written word, hex; error on a
-#                                       decode failure, when a read has
-#                                       no data)
-#   baseline  event, completion |       event "irq" (with its completion
-#             latency                   cycle) or "handled" (with latency)
-#   end       reason                    "quiescent" or "clock_limit";
-#                                       t is the last simulated cycle
-#
-# Level "off" keeps header and end, "grants" adds bus and error, "full"
-# keeps every kind. Version 1 wrote a `link` record for every link on
-# every cycle.
-TRACE_FORMAT_VERSION = 2
-
-# Record kinds included at the "grants" trace level.
-_GRANT_KINDS = frozenset({"header", "bus", "error", "end"})
+# Trace, emit_trace and the two constants are re-exported as harness names.
+from .trace import (BASELINE_HANDLED, BASELINE_IRQ, END, FABRIC, HEADER, LINK,
+                    STIMULUS, TRACE_FORMAT_VERSION, TRACE_LEVELS, Records, Trace,
+                    emit_trace)
 
 MAX_LINKS = 8
 _WORD_MAX = 0xFFFF_FFFF
@@ -476,23 +445,6 @@ def load_scenario(source: Union[dict, str, Path],
     return sc
 
 
-class Trace:
-    """Level-filtered, deterministic record accumulator."""
-
-    def __init__(self, level: str = "full"):
-        if level not in TRACE_LEVELS:
-            raise ConfigError("trace_level", f"unknown level {level!r}")
-        self.level = level
-        self.records: list[dict] = []
-
-    def emit(self, **record) -> None:
-        if self.level == "off" and record.get("kind") not in ("header", "end"):
-            return
-        if self.level == "grants" and record.get("kind") not in _GRANT_KINDS:
-            return
-        self.records.append(record)
-
-
 @dataclass
 class SimReport:
     """Aggregate results plus the cycle-stamped trace of one run."""
@@ -506,7 +458,7 @@ class SimReport:
     baseline: Optional[dict]
     activity: dict
     errors: list[dict]
-    trace: list[dict]
+    trace: Records
 
     def to_dict(self) -> dict:
         return {
@@ -546,7 +498,10 @@ class Simulation:
     def __init__(self, scenario: Scenario, trace_level: Optional[str] = None):
         level = trace_level or os.environ.get("PELS_TRACE_LEVEL", "full")
         self.scenario = scenario
-        self.trace = Trace(level)
+        try:
+            self.trace = Trace(level)
+        except ValueError as e:
+            raise ConfigError("trace_level", str(e)) from None
         # Links and segments write only kinds that "off" drops; the
         # harness's own kinds (stimulus, link, baseline, fabric) are "full" only.
         record = None if level == "off" else self.trace.emit
@@ -624,10 +579,9 @@ class Simulation:
         emit = self.trace.emit
         full = self._full
         fabric, bus, baseline = self.fabric, self.bus, self.baseline
-        emit(kind="header", version=TRACE_FORMAT_VERSION,
-             scenario_digest=sc.source_digest,
-             stimulus_digest=sc.stimulus_digest(),
-             trace_level=self.trace.level)
+        stimulus_digest = sc.stimulus_digest()
+        emit(HEADER, TRACE_FORMAT_VERSION, sc.source_digest, stimulus_digest,
+             self.trace.level)
         shown = [None] * len(self.links)  # (fsm, pc) of each link's last record
         stim_levels = 0
         end_reason = "clock_limit"
@@ -641,7 +595,7 @@ class Simulation:
                 else:
                     stim_levels &= ~(1 << line)
                 if full:
-                    emit(kind="stimulus", t=t, line=line, level=level)
+                    emit(STIMULUS, t, line, level)
 
             pulses = 0
             for block in self.blocks:
@@ -662,24 +616,22 @@ class Simulation:
                     quiet = False
                 if full and shown[i] != (performed, link.pc):
                     shown[i] = (performed, link.pc)
-                    emit(kind="link", t=t, link=link.link_id,
-                         fsm=performed.value, pc=link.pc)
+                    emit(LINK, t, link.link_id, performed.value, link.pc)
 
             if baseline:
                 if (fabric.rose & self._baseline_cfg.event_mask
                         and fabric.rising_trigger(self._baseline_cfg)):
                     completion = baseline.handle_event(t)
                     if full:
-                        emit(kind="baseline", t=t, event="irq", completion=completion)
+                        emit(BASELINE_IRQ, t, "irq", completion)
                 for event_cycle, completion in baseline.step(t):
                     if full:
-                        emit(kind="baseline", t=t, event="handled",
-                             latency=completion - event_cycle)
+                        emit(BASELINE_HANDLED, t, "handled",
+                             completion - event_cycle)
 
             if full and (fabric.inputs, fabric.outputs) != last_fabric:
                 last_fabric = (fabric.inputs, fabric.outputs)
-                emit(kind="fabric", t=t, inputs=f"0x{fabric.inputs:x}",
-                     outputs=f"0x{fabric.outputs:x}")
+                emit(FABRIC, t, fabric.inputs, fabric.outputs)
             bus.step(t)
 
             next_t = self._next_cycle(t, quiet)
@@ -689,10 +641,11 @@ class Simulation:
                 break
             t = next_t
 
-        emit(kind="end", t=cycles - 1, reason=end_reason)
-        return self._report(cycles, end_reason)
+        emit(END, cycles - 1, end_reason)
+        return self._report(cycles, end_reason, stimulus_digest)
 
-    def _report(self, cycles: int, end_reason: str) -> SimReport:
+    def _report(self, cycles: int, end_reason: str,
+                stimulus_digest: str) -> SimReport:
         sc = self.scenario
         errors: list[dict] = []
         per_link = []
@@ -747,7 +700,7 @@ class Simulation:
 
         return SimReport(
             scenario_digest=sc.source_digest,
-            stimulus_digest=sc.stimulus_digest(),
+            stimulus_digest=stimulus_digest,
             cycles=cycles,
             end_reason=end_reason,
             per_link=per_link,
@@ -837,18 +790,6 @@ def compare(pels_report: Union[SimReport, dict],
                             else base_lat * 1e3 / baseline_mhz),
         }
     return result
-
-
-def emit_trace(report: SimReport, sink) -> None:
-    """Write the trace as JSON Lines; byte-identical across reruns."""
-    own = isinstance(sink, (str, Path))
-    out = open(sink, "w") if own else sink
-    try:
-        for record in report.trace:
-            out.write(json.dumps(record, separators=(",", ":")) + "\n")
-    finally:
-        if own:
-            out.close()
 
 
 def sweep(base: Union[Scenario, dict, str, Path],

@@ -11,6 +11,7 @@ from pels.bus import (
     arbitrate,
 )
 from pels.periph import Regs
+from pels.trace import Trace
 
 
 def make_segment(n_masters=8, transfer_cycles=2, words=64, trace=None):
@@ -20,14 +21,18 @@ def make_segment(n_masters=8, transfer_cycles=2, words=64, trace=None):
 
 
 def traced_segment(n_masters=8):
-    """A segment plus the (cycle, master) of every grant, in grant order."""
+    """A segment on a `full` trace, plus the (cycle, master) of every
+    grant in that trace, in grant order."""
+    trace = Trace("full")
     grants = []
 
-    def trace(**record):
-        if record["event"] == "grant":
-            grants.append((record["t"], record["master"]))
+    def record(*row):
+        trace.emit(*row)
+        last = trace.records[-1]
+        if last["event"] == "grant":
+            grants.append((last["t"], last["master"]))
 
-    return make_segment(n_masters, trace=trace), grants
+    return make_segment(n_masters, trace=record), grants
 
 
 # --------------------------------------------------------------- arbitrate --

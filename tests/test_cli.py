@@ -122,17 +122,38 @@ def test_pels_run_config_error(tmp_path, capsys):
     assert pels_main(["run", str(path)]) == EXIT_CONFIG
 
 
-def test_pels_run_malformed_scenario_exits_1_without_traceback(tmp_path):
-    path = _write_scenario(tmp_path, {"links": [[1]]})
+def _pels_run_process(*args):
     src = str(Path(pels.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "pels.cli", "run", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "pels.cli", "run", *map(str, args)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
+
+
+def test_pels_run_malformed_scenario_exits_1_without_traceback(tmp_path):
+    path = _write_scenario(tmp_path, {"links": [[1]]})
+    proc = _pels_run_process(path)
     assert proc.returncode == EXIT_CONFIG
     assert "links[0]" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_pels_run_trace_to_missing_directory_exits_1_before_running(tmp_path):
+    trace = tmp_path / "no" / "such" / "dir" / "x.jsonl"
+    proc = _pels_run_process(SCENARIO_DIR / "sequenced.json", "--trace", trace)
+    assert proc.returncode == EXIT_CONFIG
+    assert f"--trace {trace}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # no run summary: the path failed first
+
+
+def test_pels_run_report_to_unwritable_path_exits_1_before_running(tmp_path):
+    proc = _pels_run_process(SCENARIO_DIR / "sequenced.json", "--report", tmp_path)
+    assert proc.returncode == EXIT_CONFIG
+    assert f"--report {tmp_path}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_pels_run_sim_error_exit_code(tmp_path, capsys):

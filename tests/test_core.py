@@ -19,6 +19,7 @@ from pels.core import (
 )
 from pels.isa import ActionMode, Command, Condition, OpCode
 from pels.periph import Regs
+from pels.trace import Trace
 
 ANY = TriggerMode.ANY_SELECTED_ACTIVE
 ALL = TriggerMode.ALL_SELECTED_ACTIVE
@@ -38,9 +39,10 @@ class Bench:
         self.seg = BusSegment(0, 1, transfer)
         self.block = block if block is not None else Regs("r0", 0x4000_0000, 64)
         self.seg.attach(self.block)
-        self.records = []
+        self.trace = Trace("full")
+        self.records = self.trace.records  # the link's records, as dicts
         self.link = Link(0, config or cfg(), scm_lines, fifo_depth,
-                         trace=lambda **r: self.records.append(r))
+                         trace=self.trace.emit)
         self.link.load_program(Program(tuple(program)))
         self.t = 0
         self.performed = []

@@ -629,6 +629,32 @@ def test_settled_runs_keep_the_bus_and_latency_invariants(raw):
         _check_bus_and_latency(fast, scenario)
 
 
+@settings(max_examples=100, deadline=None)
+@given(raw=st.booleans().flatmap(lambda settle: _scenarios(settle=settle)),
+       level=st.sampled_from(harness.TRACE_LEVELS))
+def test_emit_trace_writes_the_json_of_each_record(raw, level):
+    """The template serialiser against the one it replaced: json.dumps
+    of each record of `report.trace`."""
+    report = Simulation(load_scenario(raw), level).run()
+    assert _jsonl(report) == "".join(
+        json.dumps(record, separators=(",", ":")) + "\n" for record in report.trace)
+
+
+def test_stimulus_digest_is_computed_once_per_run(monkeypatch):
+    calls = []
+    digest = harness.Scenario.stimulus_digest
+
+    def counted(scenario):
+        calls.append(scenario)
+        return digest(scenario)
+
+    monkeypatch.setattr(harness.Scenario, "stimulus_digest", counted)
+    report = run(load_scenario(SCENARIO_DIR / "threshold.json"), "full")
+    assert len(calls) == 1
+    assert report.trace[0]["stimulus_digest"] == report.stimulus_digest
+    assert report.stimulus_digest == digest(calls[0])
+
+
 def _check_bus_and_latency(report, scenario):
     """On a run that ended quiescent without errors every transfer
     finished: grants, per-master counts and link counts agree, and every
