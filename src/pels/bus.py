@@ -204,7 +204,3 @@ class BusModel:
 
     def segment(self, seg_id: int) -> BusSegment:
         return self.segments[seg_id]
-
-    def step(self, t: int) -> None:
-        for seg in self.segments:
-            seg.step(t)

@@ -97,30 +97,34 @@ def _apply_check(report: harness.SimReport, checks: dict) -> list[str]:
     return failures
 
 
+def _open(stack: ExitStack, flag: str, path: Path | None, mode: str = "w"):
+    """Open an output file (None without a path) before any work, so an
+    unwritable path fails in no time; ConfigError names flag and path."""
+    try:
+        return path and stack.enter_context(open(path, mode))
+    except OSError as e:
+        raise harness.ConfigError(f"{flag} {path}",
+                                  f"cannot write: {e.strerror or e}") from None
+
+
 def _cmd_run(args) -> int:
     try:
         checks = _parse_check(args.check) if args.check else None
     except ValueError as e:
         return _fail(f"--check {args.check!r}: {e}")
-    try:
-        sim = harness.Simulation(harness.load_scenario(args.scenario),
-                                 args.trace_level)
-    except harness.ConfigError as e:
-        return _fail(str(e))
     with ExitStack() as outputs:
-        # Opened before the run, so an unwritable path fails in no time.
-        sinks = {}
-        for flag, path in (("--trace", args.trace), ("--report", args.report)):
-            if path is not None:
-                try:
-                    sinks[flag] = outputs.enter_context(open(path, "w"))
-                except OSError as e:
-                    return _fail(f"{flag} {path}: cannot write: {e.strerror or e}")
+        try:
+            sim = harness.Simulation(harness.load_scenario(args.scenario),
+                                     args.trace_level)
+            trace = _open(outputs, "--trace", args.trace)
+            report_file = _open(outputs, "--report", args.report)
+        except harness.ConfigError as e:
+            return _fail(str(e))
         report = sim.run()
-        if "--trace" in sinks:
-            harness.emit_trace(report, sinks["--trace"])
-        if "--report" in sinks:
-            sinks["--report"].write(report.to_json() + "\n")
+        if trace:
+            harness.emit_trace(report, trace)
+        if report_file:
+            report_file.write(report.to_json() + "\n")
 
     summary = {
         "cycles": report.cycles,
@@ -168,8 +172,13 @@ def _cmd_compare(args) -> int:
     except harness.MismatchedStimulus as e:
         return _fail(str(e))
     text = json.dumps(result, indent=2)
+    # Written after the (cheap) comparison: `-o` may name an input report,
+    # and a failed comparison leaves it as it was.
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as e:
+            return _fail(f"-o {args.output}: cannot write: {e.strerror or e}")
     print(text)
     return EXIT_OK
 
@@ -188,18 +197,24 @@ def _cmd_sweep(args) -> int:
         scm_lines = _parse_int_list(args.scm_lines)
     except ValueError as e:
         return _fail(f"--links/--scm-lines: {e}")
-    try:
-        results = harness.sweep(args.scenario, links, scm_lines)
-    except harness.ConfigError as e:
-        return _fail(str(e))
+    with ExitStack() as outputs:
+        try:
+            base = harness.load_scenario(args.scenario)
+            # Append mode checks the path without emptying an existing
+            # report, which is replaced only once the sweep has run.
+            out = _open(outputs, "--report", args.report, "a")
+            results = harness.sweep(base, links, scm_lines)
+        except harness.ConfigError as e:
+            return _fail(str(e))
+        if out:
+            out.truncate(0)
+            out.write(json.dumps(results, indent=2) + "\n")
     print(f"{'links':>5} {'scm':>4} {'ok':>3} {'cycles':>7} "
           f"{'accepted':>8} {'dropped':>7}")
     for r in results:
         print(f"{r['links']:>5} {r['scm_lines']:>4} "
               f"{'yes' if r.get('ok') else 'NO':>3} {r.get('cycles', '-'):>7} "
               f"{r.get('accepted', '-'):>8} {r.get('dropped', '-'):>7}")
-    if args.report:
-        Path(args.report).write_text(json.dumps(results, indent=2) + "\n")
     if not all(r.get("ok") for r in results):
         return EXIT_SIM_ERROR
     return EXIT_OK

@@ -56,6 +56,9 @@ class FsmState(Enum):
     WAIT_COUNT = "WAIT_COUNT"
 
 
+IDLE = FsmState.IDLE  # for per-cycle tests: `FsmState.X` costs ~6x a global read
+
+
 class GroupOutOfRange(ValueError):
     def __init__(self, group: int, n_groups: int):
         super().__init__(f"event group {group} outside the {n_groups} output groups")
@@ -137,6 +140,7 @@ class EventFabric:
         self.outputs = 0       # action-driven output levels
         self._level_inputs = 0
         self._prev_level_inputs = 0
+        self._input_mask = (1 << n_inputs) - 1
 
     def settle(self, stim_levels: int, pulses: int) -> None:
         """Fix the input vector for the coming cycle.
@@ -153,13 +157,14 @@ class EventFabric:
         either mode the predicate held before if it holds now.
         """
         loop_in = 0
-        for out_line, in_line in self.loopback.items():
-            if self.outputs >> out_line & 1:
-                loop_in |= 1 << in_line
-        self._prev_level_inputs = self._level_inputs
-        self._level_inputs = (stim_levels | loop_in) & ((1 << self.n_inputs) - 1)
-        self.inputs = self._level_inputs | (pulses & ((1 << self.n_inputs) - 1))
-        self.rose = self.inputs & ~self._prev_level_inputs
+        if self.outputs:  # with every output low nothing loops back
+            for out_line, in_line in self.loopback.items():
+                if self.outputs >> out_line & 1:
+                    loop_in |= 1 << in_line
+        prev = self._prev_level_inputs = self._level_inputs
+        level = self._level_inputs = (stim_levels | loop_in) & self._input_mask
+        inputs = self.inputs = level | (pulses & self._input_mask)
+        self.rose = inputs & ~prev
 
     @property
     def n_groups(self) -> int:
@@ -217,14 +222,14 @@ class Link:
     """One linking unit: trigger FIFO, private SCM, execution-unit FSM.
 
     `step` runs once per simulated cycle and does only the work that can
-    change state in it. A link parked on the bus (its transaction posted
-    and not yet complete) returns its state without entering the FSM;
-    the FSM would only find the transfer unfinished. The trigger
-    predicate is checked only when a line of `event_mask` rose
-    (`EventFabric.rose`). A fetch takes its command from the loaded
-    `Program`, which is never decoded: `scm` is the program's encoded
-    word image, kept for inspection, and writing it does not change what
-    the link runs.
+    change state in it. An idle link with an empty FIFO, and a link
+    parked on the bus (its transaction posted and not yet complete),
+    return their state without entering the FSM, which would only find
+    no token or the transfer unfinished. The trigger predicate is
+    checked only when a line of `event_mask` rose (`EventFabric.rose`).
+    A fetch takes its command from the loaded `Program`, which is never
+    decoded: `scm` is the program's encoded word image, kept for
+    inspection, and writing it does not change what the link runs.
     """
 
     def __init__(
@@ -288,10 +293,10 @@ class Link:
         """Advance one cycle; returns the state whose work ran this cycle."""
         config = self.config
         if not config.enabled:
-            return FsmState.IDLE
-        txn = self.txn
-        if txn is not None and not txn.done:
-            performed = self.state  # parked: the transfer is still on the bus
+            return IDLE
+        state, txn = self.state, self.txn
+        if (state is IDLE and not self.fifo) or (txn is not None and not txn.done):
+            performed = state  # nothing to start, or parked on the bus
         else:
             performed = self._fsm_advance(t, fabric, segment)
         if fabric.rose & config.event_mask:
@@ -481,4 +486,4 @@ class Link:
 
     @property
     def idle(self) -> bool:
-        return self.state is FsmState.IDLE and not self.fifo
+        return self.state is IDLE and not self.fifo

@@ -63,21 +63,19 @@ skipped cycles are exactly the ones that would change no state and
 write no trace record, since `link` records are written only when a
 link's (fsm, pc) changes.
 
-Busy cycles cost only the links that can act in them, and none of the
-shortcuts can change a report or a trace:
-- A link parked on the bus (its transaction posted, not yet done) returns
-  its state without entering its FSM. The FSM would find the transfer
-  unfinished and return that same state; `done` is set by `bus.step`,
-  which runs after the links, so the cycle that sees it is the one after
-  `complete_cycle`.
-- A trigger predicate, a link's or the baseline's, is evaluated only when
-  a line of its mask rose (`EventFabric.rose`). With no masked line newly
-  asserted, the predicate held in the previous sample if it holds now, so
-  it cannot rise in either trigger mode.
-- A fetch takes its command from the `Program` given to
-  `Link.load_program` rather than decoding the SCM word. The word is
-  `isa.encode` of that command, and decoding an encoded command gives
-  the command back (`tests/test_isa.py`), so nothing is decoded at all.
+A simulated cycle runs only the stage work that can act in it; none of
+these rules can change a report or a trace:
+- Peripherals: only blocks with a `tick` of their own (Timer, Sensor)
+  are ticked; `RegisterBlock.tick` does nothing.
+- Fabric: `settle` scans the loopback only while an output is high. A
+  trigger predicate (a link's or the baseline's) is evaluated only when
+  a line of its mask rose (`EventFabric.rose`); else it cannot newly hold.
+- Links: an idle link with an empty FIFO, and one parked on the bus (its
+  transaction posted, not yet done: `done` is set by the bus stage after
+  the links), return their state without entering the FSM. A fetch takes
+  the loaded `Command`, whose encoding is the SCM word, so nothing is
+  decoded.
+- Bus: only segments with a transfer in flight or pending are stepped.
 
 Within a run, master ids 0..n_links-1 are the links and the baseline
 model (when present) takes the next id. The baseline is an accounting
@@ -108,8 +106,8 @@ from .asm import (
     validate_against_capacity,
 )
 from .bus import BusModel
-from .core import (MAX_FIFO_DEPTH, EventFabric, FsmState, Link, LinkConfig,
-                   TriggerMode)
+from .core import (IDLE, MAX_FIFO_DEPTH, EventFabric, FsmState, Link,
+                   LinkConfig, TriggerMode)
 from .isa import ACTION_GROUP_WIDTH
 from .periph import (
     BaselineCpu,
@@ -538,6 +536,9 @@ class Simulation:
         for cycle, line, level in scenario.stimuli:
             self._stimuli_by_cycle.setdefault(cycle, []).append((line, level))
         self._stimulus_cycles = sorted(self._stimuli_by_cycle)
+        # Only blocks with a tick of their own can pulse or act unprompted.
+        self._ticking = [b for b in self.blocks
+                         if type(b).tick is not RegisterBlock.tick]
         # input-triggered sensors: [block, trigger line, last seen level]
         self._triggered_sensors = [
             [b, b.trigger_line, 0] for b in self.blocks
@@ -554,23 +555,27 @@ class Simulation:
         """The cycle to simulate after cycle t, or None when the run is
         quiescent. `quiet` is True when no link did any work in cycle t;
         then no output changed either, so loopback holds."""
+        # `BusSegment.idle` and `Link.idle`, inlined: this runs every cycle.
         for segment in self.bus.segments:
-            if not segment.idle:
+            if segment.in_flight is not None or segment.pending:
                 return t + 1
         for link in self.links:
-            if not link.idle:
+            if link.state is not IDLE or link.fifo:
                 return t + 1
-        due = [c for c in (b.next_event(t) for b in self.blocks) if c is not None]
-        i = bisect_right(self._stimulus_cycles, t)
-        if i < len(self._stimulus_cycles):
-            due.append(self._stimulus_cycles[i])
-        if self.baseline and self.baseline.pending:
-            due.append(min(c for _, c in self.baseline.pending))
-        if not due:
-            return None
+        stimulus_cycles = self._stimulus_cycles
+        pending = self.baseline.pending if self.baseline else ()
         # A link that did work may still write its idle `link` record, and
         # an unsteady fabric may still raise a trigger, in cycle t + 1.
-        return min(due) if quiet and self.fabric.steady else t + 1
+        if not (quiet and self.fabric.steady):  # no jump: is anything due?
+            due = (pending or (stimulus_cycles and stimulus_cycles[-1] > t)
+                   or any(b.next_event(t) is not None for b in self._ticking))
+            return t + 1 if due else None
+        due = [c for c in (b.next_event(t) for b in self._ticking) if c is not None]
+        i = bisect_right(stimulus_cycles, t)
+        due += stimulus_cycles[i:i + 1]
+        if pending:
+            due.append(min(c for _, c in pending))
+        return min(due) if due else None
 
     def run(self) -> SimReport:
         if self.trace.records:  # the header of an earlier run
@@ -578,18 +583,24 @@ class Simulation:
         sc = self.scenario
         emit = self.trace.emit
         full = self._full
-        fabric, bus, baseline = self.fabric, self.bus, self.baseline
+        fabric, baseline = self.fabric, self.baseline
+        # Entry points are bound once per run, not looked up every cycle.
+        settle, next_cycle = fabric.settle, self._next_cycle
+        stimuli_at = self._stimuli_by_cycle.get
+        ticks = [block.tick for block in self._ticking]
+        steps = [(link, link.step, segment) for link, segment in self._link_segments]
+        segments = self.bus.segments
         stimulus_digest = sc.stimulus_digest()
         emit(HEADER, TRACE_FORMAT_VERSION, sc.source_digest, stimulus_digest,
              self.trace.level)
-        shown = [None] * len(self.links)  # (fsm, pc) of each link's last record
+        shown = [None] * len(steps)  # (fsm, pc) of each link's last record
         stim_levels = 0
         end_reason = "clock_limit"
         cycles = sc.clock_limit
         last_fabric = (0, 0)
         t = 0
         while t < sc.clock_limit:
-            for line, level in self._stimuli_by_cycle.get(t, ()):
+            for line, level in stimuli_at(t, ()):
                 if level:
                     stim_levels |= 1 << line
                 else:
@@ -598,9 +609,9 @@ class Simulation:
                     emit(STIMULUS, t, line, level)
 
             pulses = 0
-            for block in self.blocks:
-                pulses |= block.tick(t)
-            fabric.settle(stim_levels, pulses)
+            for tick in ticks:
+                pulses |= tick(t)
+            settle(stim_levels, pulses)
 
             for entry in self._triggered_sensors:
                 sensor, line, last = entry
@@ -610,9 +621,9 @@ class Simulation:
                 entry[2] = level
 
             quiet = True
-            for i, (link, segment) in enumerate(self._link_segments):
-                performed = link.step(t, fabric, segment)
-                if performed is not FsmState.IDLE:
+            for i, (link, step, segment) in enumerate(steps):
+                performed = step(t, fabric, segment)
+                if performed is not IDLE:
                     quiet = False
                 if full and shown[i] != (performed, link.pc):
                     shown[i] = (performed, link.pc)
@@ -624,17 +635,20 @@ class Simulation:
                     completion = baseline.handle_event(t)
                     if full:
                         emit(BASELINE_IRQ, t, "irq", completion)
-                for event_cycle, completion in baseline.step(t):
-                    if full:
-                        emit(BASELINE_HANDLED, t, "handled",
-                             completion - event_cycle)
+                if baseline.pending:
+                    for event_cycle, completion in baseline.step(t):
+                        if full:
+                            emit(BASELINE_HANDLED, t, "handled",
+                                 completion - event_cycle)
 
             if full and (fabric.inputs, fabric.outputs) != last_fabric:
                 last_fabric = (fabric.inputs, fabric.outputs)
                 emit(FABRIC, t, fabric.inputs, fabric.outputs)
-            bus.step(t)
+            for segment in segments:
+                if segment.in_flight is not None or segment.pending:  # not idle
+                    segment.step(t)
 
-            next_t = self._next_cycle(t, quiet)
+            next_t = next_cycle(t, quiet)
             if next_t is None:
                 end_reason = "quiescent"
                 cycles = t + 1

@@ -124,19 +124,27 @@ class _ReferenceLink(Link):
 
 
 class _UnfilteredFabric(EventFabric):
-    """Reports every line as risen, so the harness passes each baseline
-    trigger check on to `rising_trigger`."""
+    """Scans the loopback on every settle, and reports every line as risen,
+    so the harness passes each baseline trigger check on to
+    `rising_trigger`."""
 
     def settle(self, stim_levels, pulses):
-        super().settle(stim_levels, pulses)
+        mask = (1 << self.n_inputs) - 1
+        loop_in = 0
+        for out_line, in_line in self.loopback.items():
+            if self.outputs >> out_line & 1:
+                loop_in |= 1 << in_line
+        self._prev_level_inputs = self._level_inputs
+        self._level_inputs = (stim_levels | loop_in) & mask
+        self.inputs = self._level_inputs | (pulses & mask)
         self.rose = -1
 
 
 class PerCycleSimulation(Simulation):
-    """Reference kernel: simulates every cycle, steps `_ReferenceLink`s
-    on an `_UnfilteredFabric`, and ends the run on the original
-    quiescence test (no stimulus left to apply; links, bus and baseline
-    idle; no block that can still produce events)."""
+    """Reference kernel: simulates every cycle, ticks every block, steps
+    `_ReferenceLink`s on an `_UnfilteredFabric`, and ends the run on the
+    original quiescence test (no stimulus left to apply; links, bus and
+    baseline idle; no block that can still produce events)."""
 
     def __init__(self, scenario, trace_level=None):
         super().__init__(scenario, trace_level)
@@ -144,6 +152,7 @@ class PerCycleSimulation(Simulation):
         self.fabric.__class__ = _UnfilteredFabric
         for link in self.links:
             link.__class__ = _ReferenceLink
+        self._ticking = list(self.blocks)  # Regs and Gpio tick as no-ops
 
     def _next_cycle(self, t, quiet):
         if ((not self._stimulus_cycles or self._stimulus_cycles[-1] <= t)

@@ -122,10 +122,10 @@ def test_pels_run_config_error(tmp_path, capsys):
     assert pels_main(["run", str(path)]) == EXIT_CONFIG
 
 
-def _pels_run_process(*args):
+def _pels_process(*args):
     src = str(Path(pels.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "pels.cli", "run", *map(str, args)],
+        [sys.executable, "-m", "pels.cli", *map(str, args)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
@@ -133,7 +133,7 @@ def _pels_run_process(*args):
 
 def test_pels_run_malformed_scenario_exits_1_without_traceback(tmp_path):
     path = _write_scenario(tmp_path, {"links": [[1]]})
-    proc = _pels_run_process(path)
+    proc = _pels_process("run", path)
     assert proc.returncode == EXIT_CONFIG
     assert "links[0]" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -141,7 +141,7 @@ def test_pels_run_malformed_scenario_exits_1_without_traceback(tmp_path):
 
 def test_pels_run_trace_to_missing_directory_exits_1_before_running(tmp_path):
     trace = tmp_path / "no" / "such" / "dir" / "x.jsonl"
-    proc = _pels_run_process(SCENARIO_DIR / "sequenced.json", "--trace", trace)
+    proc = _pels_process("run", SCENARIO_DIR / "sequenced.json", "--trace", trace)
     assert proc.returncode == EXIT_CONFIG
     assert f"--trace {trace}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -149,11 +149,71 @@ def test_pels_run_trace_to_missing_directory_exits_1_before_running(tmp_path):
 
 
 def test_pels_run_report_to_unwritable_path_exits_1_before_running(tmp_path):
-    proc = _pels_run_process(SCENARIO_DIR / "sequenced.json", "--report", tmp_path)
+    proc = _pels_process("run", SCENARIO_DIR / "sequenced.json", "--report", tmp_path)
     assert proc.returncode == EXIT_CONFIG
     assert f"--report {tmp_path}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_pels_sweep_report_to_missing_directory_exits_1_before_running(tmp_path):
+    report = tmp_path / "no" / "such" / "dir" / "s.json"
+    proc = _pels_process("sweep", SCENARIO_DIR / "sequenced.json", "--links", "1..2",
+                         "--scm-lines", "4", "--report", report)
+    assert proc.returncode == EXIT_CONFIG
+    assert f"--report {report}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # no sweep table: the path failed first
+
+
+def test_pels_compare_output_to_missing_directory_exits_1(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert pels_main(["run", str(SCENARIO_DIR / "sequenced.json"),
+                      "--report", str(report)]) == EXIT_OK
+    out = tmp_path / "no" / "such" / "dir" / "c.json"
+    proc = _pels_process("compare", report, report, "-o", out)
+    assert proc.returncode == EXIT_CONFIG
+    assert f"-o {out}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_pels_compare_output_may_name_an_input_report(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert pels_main(["run", str(SCENARIO_DIR / "sequenced.json"),
+                      "--report", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert pels_main(["compare", str(report), str(report),
+                      "-o", str(report)]) == EXIT_OK
+    assert json.loads(report.read_text()) == json.loads(capsys.readouterr().out)
+
+
+def test_pels_compare_failure_leaves_the_output_file_as_it_was(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    out.write_text("earlier result\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    assert pels_main(["compare", str(bad), str(bad), "-o", str(out)]) == EXIT_CONFIG
+    assert out.read_text() == "earlier result\n"
+
+
+def test_pels_sweep_failure_leaves_the_report_file_as_it_was(tmp_path, capsys):
+    path = _write_scenario(tmp_path, {"clock_limit": 10})  # no template link
+    report = tmp_path / "s.json"
+    report.write_text("earlier sweep\n")
+    assert pels_main(["sweep", str(path), "--links", "1",
+                      "--report", str(report)]) == EXIT_CONFIG
+    assert "template link" in capsys.readouterr().err
+    assert report.read_text() == "earlier sweep\n"
+
+
+def test_pels_sweep_replaces_an_existing_report(tmp_path, capsys):
+    path = _write_scenario(tmp_path, sequenced_scenario())
+    report = tmp_path / "s.json"
+    report.write_text("x" * 10_000)
+    assert pels_main(["sweep", str(path), "--links", "1", "--scm-lines", "4",
+                      "--report", str(report)]) == EXIT_OK
+    assert len(json.loads(report.read_text())) == 1
 
 
 def test_pels_run_sim_error_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from helpers import (
 )
 from pels import harness
 from pels.asm import Program, disassemble, validate_program
+from pels.core import EventFabric, Link
 from pels.harness import (
     ConfigError,
     MismatchedStimulus,
@@ -27,6 +29,7 @@ from pels.harness import (
     sweep,
 )
 from pels.isa import ActionMode, Command, Condition, OpCode
+from pels.trace import SHAPES
 
 
 # ------------------------------------------------------------- validation --
@@ -612,6 +615,14 @@ def test_skipping_kernel_matches_the_per_cycle_reference(raw):
     assert fast.to_dict() == slow.to_dict()
     assert _jsonl(fast) == _jsonl(slow)
     assert Simulation(scenario, "off").run().to_dict() == fast.to_dict()
+    # `grants` keeps no (fsm, pc) state: the same report, and exactly the
+    # records of `full` that its level keeps.
+    grants = Simulation(scenario, "grants").run()
+    assert grants.to_dict() == fast.to_dict()
+    rank = {shape.kind: shape.rank for shape in SHAPES}
+    kept = [record for record in fast.trace if rank[record["kind"]] <= 1]
+    kept[0] = dict(kept[0], trace_level="grants")
+    assert list(grants.trace) == kept
     for entry in fast.per_link:
         t = entry["triggers"]
         assert t["accepted"] + t["dropped"] == t["events"]
@@ -627,6 +638,30 @@ def test_settled_runs_keep_the_bus_and_latency_invariants(raw):
     assert fast.to_dict() == PerCycleSimulation(scenario, "off").run().to_dict()
     if fast.end_reason == "quiescent" and not fast.errors:
         _check_bus_and_latency(fast, scenario)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=_scenarios().filter(lambda raw: len(raw["links"]) >= 2),
+       level=st.sampled_from(harness.TRACE_LEVELS))
+def test_cycles_are_skipped_whole_so_every_settle_steps_every_link(raw, level):
+    """The kernel skips whole cycles, never single links: every simulated
+    cycle settles the fabric once and steps each link once."""
+    calls = {"step": 0, "settle": 0}
+    step, settle = Link.step, EventFabric.settle
+
+    def counted_step(self, *args):
+        calls["step"] += 1
+        return step(self, *args)
+
+    def counted_settle(self, *args):
+        calls["settle"] += 1
+        return settle(self, *args)
+
+    with mock.patch.object(Link, "step", counted_step), \
+            mock.patch.object(EventFabric, "settle", counted_settle):
+        Simulation(load_scenario(raw), level).run()
+    assert calls["settle"] > 0
+    assert calls["step"] == calls["settle"] * len(raw["links"])
 
 
 @settings(max_examples=100, deadline=None)
