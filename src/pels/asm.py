@@ -47,12 +47,7 @@ from .isa import REGISTER_OPCODES, ActionMode, Command, Condition, OpCode
 # Target line indices are encoded in 8 bits, bounding any program.
 MAX_PROGRAM_LENGTH = 256
 
-CONDITION_NAMES = {
-    "eq": Condition.EQ,
-    "ne": Condition.NE,
-    "ltu": Condition.LTU,
-    "geu": Condition.GEU,
-}
+CONDITION_NAMES = {cond.name.lower(): cond for cond in Condition}
 
 # Commands whose field holds a target line index.
 _TARGET_OPCODES = (OpCode.JUMP_IF, OpCode.LOOP)
@@ -98,9 +93,6 @@ class UndefinedLabel(AsmError):
 class TargetOutOfRange(AsmError):
     code = "target-range"
 
-    def __init__(self, message: str, line: int):
-        super().__init__(message, line)
-
 
 class NestedLoop(AsmError):
     code = "nested-loop"
@@ -111,9 +103,6 @@ class NestedLoop(AsmError):
 
 class OperandWidth(AsmError):
     code = "operand-width"
-
-    def __init__(self, message: str, line: int):
-        super().__init__(message, line)
 
 
 class CapacityExceeded(AsmError):
@@ -345,9 +334,6 @@ def validate_program(prog: Program) -> None:
                 raise _at(j, NestedLoop(0))
 
 
-_COND_TEXT = {v: k for k, v in CONDITION_NAMES.items()}
-
-
 def disassemble(prog: Program) -> str:
     """Render a program as source text that reassembles to it exactly.
 
@@ -362,7 +348,7 @@ def disassemble(prog: Program) -> str:
         if op in REGISTER_OPCODES:
             body = f"{op.name.lower()} 0x{cmd.field:x}, 0x{cmd.operand:x}"
         elif op is OpCode.JUMP_IF:
-            body = (f"jif {_COND_TEXT[cmd.condition]}, 0x{cmd.operand:x}, "
+            body = (f"jif {cmd.condition.name.lower()}, 0x{cmd.operand:x}, "
                     f"{label_for[cmd.target]}")
         elif op is OpCode.LOOP:
             body = f"loop {cmd.operand}, {label_for[cmd.target]}"

@@ -11,21 +11,26 @@ the segment for the whole transaction.
 Arbitration scans master ids starting from rr_pointer + 1, wrapping; the
 pointer moves to the granted id. With L continuously requesting masters
 and T-cycle transfers every master is granted once per L*T cycles.
+
+A transaction's `kind` is a `TxnKind` code; TXN_KIND_NAMES spells it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Collection, Optional
 
 from .periph import RegisterBlock
 from .trace import BUS_DATA, BUS_DATA_ERROR, BUS_ERROR, BUS_GRANT, BUS_REQUEST
 
 
-class TxnKind(Enum):
-    READ = "R"
-    WRITE = "W"
+class TxnKind:
+    """Transaction kinds: codes into TXN_KIND_NAMES."""
+    READ = 0
+    WRITE = 1
+
+
+TXN_KIND_NAMES = ("R", "W")
 
 
 class DecodeError(Exception):
@@ -39,7 +44,7 @@ class DecodeError(Exception):
 @dataclass
 class BusTransaction:
     master_id: int
-    kind: TxnKind
+    kind: int  # a TxnKind code
     address: int
     data: int = 0  # write payload
     issue_cycle: int = 0
@@ -124,7 +129,7 @@ class BusSegment:
         self.pending[txn.master_id] = txn
         if self.trace:
             self.trace(BUS_REQUEST, cycle, self.seg_id, "request", txn.master_id,
-                       txn.kind.value, txn.address)
+                       TXN_KIND_NAMES[txn.kind], txn.address)
 
     def step(self, t: int) -> list[BusTransaction]:
         """Advance one cycle: finalize a completing transfer, then grant."""
@@ -148,13 +153,14 @@ class BusSegment:
                 self.grants += 1
                 if self.trace:
                     self.trace(BUS_GRANT, t, self.seg_id, "grant", granted,
-                               txn.kind.value, txn.address, wait)
+                               TXN_KIND_NAMES[txn.kind], txn.address, wait)
         return done
 
     def _finalize(self, txn: BusTransaction, t: int) -> None:
+        read = txn.kind is TxnKind.READ
         try:
             block, offset = self.decode(txn.address)
-            if txn.kind is TxnKind.READ:
+            if read:
                 txn.result = block.read(offset, t) & 0xFFFF_FFFF
                 self.master_reads[txn.master_id] = (
                     self.master_reads.get(txn.master_id, 0) + 1
@@ -169,9 +175,9 @@ class BusSegment:
         txn.done = True
         if self.trace:
             # data: the word read or written; a failed read has none
-            head = (t, self.seg_id, "complete", txn.master_id, txn.kind.value,
-                    txn.address)
-            if txn.kind is TxnKind.WRITE:
+            head = (t, self.seg_id, "complete", txn.master_id,
+                    TXN_KIND_NAMES[txn.kind], txn.address)
+            if not read:
                 if txn.error:
                     self.trace(BUS_DATA_ERROR, *head, txn.data, txn.error)
                 else:
@@ -180,10 +186,6 @@ class BusSegment:
                 self.trace(BUS_ERROR, *head, txn.error)
             else:
                 self.trace(BUS_DATA, *head, txn.result)
-
-    @property
-    def idle(self) -> bool:
-        return self.in_flight is None and not self.pending
 
 
 class BusModel:
@@ -201,6 +203,3 @@ class BusModel:
         self.segments = [
             BusSegment(i, n_masters, transfer_cycles, trace) for i in range(segments)
         ]
-
-    def segment(self, seg_id: int) -> BusSegment:
-        return self.segments[seg_id]

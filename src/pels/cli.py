@@ -183,22 +183,27 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(spec: str) -> list[int]:
-    """Accept '4,6,8' and '1..8' forms."""
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in spec.split(",")]
+def _parse_int_list(flag: str, spec: str, hi: int) -> list[int]:
+    """Accept '4,6,8' and '1..8' forms of values within 1..hi; a range is
+    checked by its ends before it is expanded. ConfigError names the flag."""
+    ends = spec.split("..", 1)
+    try:
+        values = [int(v) for v in (ends if len(ends) == 2 else spec.split(","))]
+    except ValueError as e:
+        raise harness.ConfigError(flag, str(e)) from None
+    bad = [v for v in values if not 1 <= v <= hi]
+    if bad or len(ends) == 2 and values[0] > values[1]:
+        raise harness.ConfigError(flag, f"{bad[0]} is outside 1..{hi}" if bad
+                                  else f"empty range {spec!r}")
+    return list(range(values[0], values[1] + 1)) if len(ends) == 2 else values
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        links = _parse_int_list(args.links)
-        scm_lines = _parse_int_list(args.scm_lines)
-    except ValueError as e:
-        return _fail(f"--links/--scm-lines: {e}")
     with ExitStack() as outputs:
         try:
+            links = _parse_int_list("--links", args.links, harness.MAX_LINKS)
+            scm_lines = _parse_int_list("--scm-lines", args.scm_lines,
+                                        asm.MAX_PROGRAM_LENGTH)
             base = harness.load_scenario(args.scenario)
             # Append mode checks the path without emptying an existing
             # report, which is replaced only once the sweep has run.

@@ -22,41 +22,60 @@ predicate. Peripheral event pulses last one cycle and re-arm the edge
 detector, so a pulse train yields one trigger event per pulsed cycle;
 held stimulus levels and loopback lines trigger only on their 0-to-1
 transition. Outputs driven in cycle t reach loopback inputs in t+1.
+
+FSM states and trigger modes are int codes with tables of their names,
+and no per-cycle or per-command path reads an Enum (see `_EXEC_STATE`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from operator import eq, ge, lt, ne, or_, xor
 from typing import Callable, Optional
 
 from . import isa
 from .asm import Program, validate_against_capacity
 from .bus import BusSegment, BusTransaction, TxnKind
-from .isa import ActionMode, Command, Condition, OpCode
+from .isa import ActionMode, Command, OpCode
 from .trace import ACTION, ERROR, PROGRAM, PROGRAM_LATENCY, TRIGGER
 
 # Trigger FIFO depths a link may be configured with: 1..MAX_FIFO_DEPTH.
 MAX_FIFO_DEPTH = 16
 
 
-class TriggerMode(Enum):
-    ALL_SELECTED_ACTIVE = "all"  # every masked line high
-    ANY_SELECTED_ACTIVE = "any"  # at least one masked line high
+class TriggerMode:
+    """Trigger predicate modes: codes into TRIGGER_MODE_NAMES."""
+    ALL_SELECTED_ACTIVE = 0  # every masked line high
+    ANY_SELECTED_ACTIVE = 1  # at least one masked line high
 
 
-class FsmState(Enum):
-    IDLE = "IDLE"
-    FETCH = "FETCH"
-    EXEC_ACTION = "EXEC_ACTION"
-    BUS_READ_PEND = "BUS_READ_PEND"
-    MODIFY = "MODIFY"
-    BUS_WRITE_PEND = "BUS_WRITE_PEND"
-    WAIT_COUNT = "WAIT_COUNT"
+TRIGGER_MODE_NAMES = ("all", "any")  # the scenario's `trigger_mode` spelling
 
 
-IDLE = FsmState.IDLE  # for per-cycle tests: `FsmState.X` costs ~6x a global read
+class FsmState:
+    """Execution-unit FSM states: codes into FSM_STATE_NAMES. A state is
+    always one of these int objects, so states compare with `is`."""
+    (IDLE, FETCH, EXEC_ACTION, BUS_READ_PEND, MODIFY, BUS_WRITE_PEND,
+     WAIT_COUNT) = range(7)
+
+
+FSM_STATE_NAMES = tuple(name for name in vars(FsmState) if name.isupper())
+ACTION_MODE_NAMES = tuple(mode.name for mode in ActionMode)
+
+# The state that executes each opcode; the operation of each RMW opcode.
+_EXEC_STATE = {
+    OpCode.WRITE: FsmState.BUS_WRITE_PEND, OpCode.CAPTURE: FsmState.BUS_READ_PEND,
+    OpCode.SET: FsmState.BUS_READ_PEND, OpCode.CLEAR: FsmState.BUS_READ_PEND,
+    OpCode.TOGGLE: FsmState.BUS_READ_PEND, OpCode.WAIT: FsmState.WAIT_COUNT,
+    OpCode.ACTION: FsmState.EXEC_ACTION, OpCode.JUMP_IF: FsmState.EXEC_ACTION,
+    OpCode.LOOP: FsmState.EXEC_ACTION}
+_RMW = {OpCode.SET: or_, OpCode.CLEAR: lambda old, mask: old & ~mask,
+        OpCode.TOGGLE: xor}
+_JUMP_CONDITIONS = (eq, ne, lt, ge)  # by Condition code: EQ, NE, LTU, GEU
+# The opcodes and the mode that the execute stage tells apart, read once.
+_ACTION, _JUMP_IF, _CAPTURE = OpCode.ACTION, OpCode.JUMP_IF, OpCode.CAPTURE
+_SET_LEVELS = ActionMode.SET_LEVELS
 
 
 class GroupOutOfRange(ValueError):
@@ -71,7 +90,7 @@ class LinkBusy(RuntimeError):
 @dataclass
 class LinkConfig:
     event_mask: int = 0
-    trigger_mode: TriggerMode = TriggerMode.ANY_SELECTED_ACTIVE
+    trigger_mode: int = TriggerMode.ANY_SELECTED_ACTIVE
     base_address: int = 0
     enabled: bool = True
 
@@ -87,20 +106,16 @@ def evaluate_trigger(inputs: int, cfg: LinkConfig) -> bool:
     if cfg.event_mask == 0:
         return False
     selected = inputs & cfg.event_mask
-    if cfg.trigger_mode is TriggerMode.ALL_SELECTED_ACTIVE:
+    if cfg.trigger_mode == TriggerMode.ALL_SELECTED_ACTIVE:
         return selected == cfg.event_mask
     return selected != 0
 
 
-def execute_rmw(old: int, opcode: OpCode, mask: int) -> int:
+def execute_rmw(old: int, opcode: int, mask: int) -> int:
     """Bitwise read-modify-write value for set/clear/toggle."""
-    if opcode is OpCode.SET:
-        return (old | mask) & 0xFFFF_FFFF
-    if opcode is OpCode.CLEAR:
-        return old & ~mask & 0xFFFF_FFFF
-    if opcode is OpCode.TOGGLE:
-        return (old ^ mask) & 0xFFFF_FFFF
-    raise ValueError(f"{opcode} is not a read-modify-write opcode")
+    if opcode not in _RMW:
+        raise ValueError(f"{opcode} is not a read-modify-write opcode")
+    return _RMW[opcode](old, mask) & 0xFFFF_FFFF
 
 
 def execute_capture(bus_value: int, mask: int) -> int:
@@ -108,15 +123,10 @@ def execute_capture(bus_value: int, mask: int) -> int:
     return bus_value & mask & 0xFFFF_FFFF
 
 
-def execute_jump_if(capture_reg: int, cond: Condition, operand: int) -> bool:
-    """Unsigned comparison of the capture register against the operand."""
-    if cond is Condition.EQ:
-        return capture_reg == operand
-    if cond is Condition.NE:
-        return capture_reg != operand
-    if cond is Condition.LTU:
-        return capture_reg < operand
-    return capture_reg >= operand  # GEU
+def execute_jump_if(capture_reg: int, cond: int, operand: int) -> bool:
+    """Unsigned comparison of the capture register against the operand;
+    `cond` is a `Condition` code."""
+    return _JUMP_CONDITIONS[cond](capture_reg, operand)
 
 
 class EventFabric:
@@ -190,13 +200,14 @@ class EventFabric:
             self._prev_level_inputs, cfg
         )
 
-    def drive_group(self, group: int, mode: ActionMode, bits: int) -> None:
+    def drive_group(self, group: int, mode: int, bits: int) -> None:
+        """Drive one output group; `mode` is an `ActionMode` code."""
         if not 0 <= group < self.n_groups:
             raise GroupOutOfRange(group, self.n_groups)
         shift = group * isa.ACTION_GROUP_WIDTH
         group_mask = ((1 << isa.ACTION_GROUP_WIDTH) - 1) << shift
         group_mask &= (1 << self.n_outputs) - 1
-        if mode is ActionMode.SET_LEVELS:
+        if mode == _SET_LEVELS:
             self.outputs = (self.outputs & ~group_mask) | ((bits << shift) & group_mask)
         else:
             self.outputs ^= (bits << shift) & group_mask
@@ -227,9 +238,8 @@ class Link:
     return their state without entering the FSM, which would only find
     no token or the transfer unfinished. The trigger predicate is
     checked only when a line of `event_mask` rose (`EventFabric.rose`).
-    A fetch takes its command from the loaded `Program`, which is never
-    decoded: `scm` is the program's encoded word image, kept for
-    inspection, and writing it does not change what the link runs.
+    A fetch takes its command from the loaded `Program`, whose encoding
+    is the SCM word image, so nothing is encoded or decoded.
     """
 
     def __init__(
@@ -247,7 +257,7 @@ class Link:
             raise ValueError(f"fifo_depth must be within 1..{MAX_FIFO_DEPTH}")
         self.link_id = link_id
         self.config = config
-        self.scm = [isa.NOP_SENTINEL] * scm_lines
+        self.scm_lines = scm_lines  # SCM capacity in lines
         self._commands: tuple[Command, ...] = ()  # the loaded program
         self.fifo: deque[TriggerToken] = deque()
         self.fifo_depth = fifo_depth
@@ -271,31 +281,25 @@ class Link:
         self._last_effect: Optional[int] = None
         self.latency_samples: list[int] = []
 
-    @property
-    def scm_lines(self) -> int:
-        """SCM capacity in lines."""
-        return len(self.scm)
-
     # -- program load ----------------------------------------------------
 
     def load_program(self, prog: Program) -> None:
         if self.state is not FsmState.IDLE:
-            raise LinkBusy(f"link {self.link_id} is {self.state.value}")
+            raise LinkBusy(f"link {self.link_id} is {FSM_STATE_NAMES[self.state]}")
         validate_against_capacity(prog, self.scm_lines)
-        for i in range(self.scm_lines):
-            self.scm[i] = isa.encode(prog[i]) if i < len(prog) else isa.NOP_SENTINEL
         self._commands = prog.commands
         self.pc = 0
 
     # -- one global clock cycle -------------------------------------------
 
-    def step(self, t: int, fabric: EventFabric, segment: BusSegment) -> FsmState:
+    def step(self, t: int, fabric: EventFabric, segment: BusSegment) -> int:
         """Advance one cycle; returns the state whose work ran this cycle."""
         config = self.config
         if not config.enabled:
-            return IDLE
+            return FsmState.IDLE
         state, txn = self.state, self.txn
-        if (state is IDLE and not self.fifo) or (txn is not None and not txn.done):
+        if ((state is FsmState.IDLE and not self.fifo)
+                or (txn is not None and not txn.done)):
             performed = state  # nothing to start, or parked on the bus
         else:
             performed = self._fsm_advance(t, fabric, segment)
@@ -319,7 +323,7 @@ class Link:
         if self.trace:
             self.trace(TRIGGER, t, self.link_id, token.seq, status)
 
-    def _fsm_advance(self, t: int, fabric: EventFabric, segment: BusSegment) -> FsmState:
+    def _fsm_advance(self, t: int, fabric: EventFabric, segment: BusSegment) -> int:
         st = self.state
 
         if st is FsmState.IDLE:
@@ -341,30 +345,25 @@ class Link:
             self._do_exec(t, fabric)
             return FsmState.EXEC_ACTION
 
-        if st is FsmState.BUS_READ_PEND:
-            if self.txn is None:
-                self._post(segment, t, TxnKind.READ)
-                return FsmState.BUS_READ_PEND
-            if self.txn.done and self.txn.complete_cycle < t:
-                if self.txn.error:
-                    return self._abort(t, self.txn.error)
+        if st is FsmState.BUS_READ_PEND or st is FsmState.BUS_WRITE_PEND:
+            txn = self.txn
+            if txn is None:  # a plain write's value travels in its operand
+                if st is FsmState.BUS_READ_PEND:
+                    self._post(segment, t, TxnKind.READ)
+                else:
+                    self._post(segment, t, TxnKind.WRITE, self.cmd.operand)
+                return st
+            if not txn.done or txn.complete_cycle >= t:
+                return st
+            if txn.error:
+                return self._abort(t, txn.error)
+            if st is FsmState.BUS_READ_PEND:
                 return self._do_modify(t, segment)
-            return FsmState.BUS_READ_PEND
-
-        if st is FsmState.BUS_WRITE_PEND:
-            if self.txn is None:
-                # plain write command: value travels in the operand
-                self._post(segment, t, TxnKind.WRITE, self.cmd.operand)
-                return FsmState.BUS_WRITE_PEND
-            if self.txn.done and self.txn.complete_cycle < t:
-                if self.txn.error:
-                    return self._abort(t, self.txn.error)
-                self._last_effect = self.txn.complete_cycle
-                self.stats.bus_writes += 1
-                self.txn = None
-                self.pc += 1
-                return self._do_fetch(t)
-            return FsmState.BUS_WRITE_PEND
+            self._last_effect = txn.complete_cycle
+            self.stats.bus_writes += 1
+            self.txn = None
+            self.pc += 1
+            return self._do_fetch(t)
 
         if st is FsmState.WAIT_COUNT:
             self.wait_counter -= 1
@@ -375,71 +374,65 @@ class Link:
 
         raise AssertionError(f"unreachable state {st}")
 
-    def _do_fetch(self, t: int) -> FsmState:
+    def _do_fetch(self, t: int) -> int:
         if self.pc >= len(self._commands):  # a blank SCM line, or past the end
             self._complete_program(t)
             return FsmState.FETCH
         return self._issue(self._commands[self.pc])
 
-    def _issue(self, cmd: Command) -> FsmState:
-        """Latch the fetched command and pick the state that executes it."""
+    def _issue(self, cmd: Command) -> int:
+        """Latch the fetched command and enter the state that executes it;
+        `txn` is None here, as every bus command and abort leaves it."""
         self.cmd = cmd
         self.stats.commands_executed += 1
-        op = cmd.opcode
-        if op in (OpCode.ACTION, OpCode.JUMP_IF, OpCode.LOOP):
-            self.state = FsmState.EXEC_ACTION
-        elif op in isa.RMW_OPCODES or op is OpCode.CAPTURE:
-            self.state = FsmState.BUS_READ_PEND
-            self.txn = None
-        elif op is OpCode.WRITE:
-            self.state = FsmState.BUS_WRITE_PEND
-            self.txn = None
-        elif op is OpCode.WAIT:
-            if self.cmd.operand > 0:
-                self.wait_counter = self.cmd.operand
-                self.state = FsmState.WAIT_COUNT
+        state = _EXEC_STATE[cmd.opcode]
+        if state is FsmState.WAIT_COUNT:
+            if cmd.operand > 0:
+                self.wait_counter = cmd.operand
             else:
                 self.pc += 1
-                self.state = FsmState.FETCH
+                state = FsmState.FETCH
+        self.state = state
         return FsmState.FETCH
 
     def _do_exec(self, t: int, fabric: EventFabric) -> None:
         cmd = self.cmd
         op = cmd.opcode
-        if op is OpCode.ACTION:
+        if op == _ACTION:  # field[7:0]: the group; [11:8]: the ActionMode code
+            group, mode = cmd.field & 0xFF, cmd.field >> 8
             try:
-                fabric.drive_group(cmd.action_group, cmd.action_mode, cmd.operand)
+                fabric.drive_group(group, mode, cmd.operand)
             except GroupOutOfRange as e:
                 self._abort(t, str(e))
                 return
             self._last_effect = t
             if self.trace:
-                self.trace(ACTION, t, self.link_id, cmd.action_group,
-                           cmd.action_mode.name, fabric.outputs)
+                self.trace(ACTION, t, self.link_id, group, ACTION_MODE_NAMES[mode],
+                           fabric.outputs)
             self.pc += 1
-        elif op is OpCode.JUMP_IF:
-            if execute_jump_if(self.capture_reg, cmd.condition, cmd.operand):
-                self.pc = cmd.target
+        elif op == _JUMP_IF:  # field[11:8]: the Condition code; [7:0]: the target
+            if execute_jump_if(self.capture_reg, cmd.field >> 8, cmd.operand):
+                self.pc = cmd.field & 0xFF
             else:
                 self.pc += 1
-        elif op is OpCode.LOOP:
+        else:  # loop
             if not self.loop_active:
                 self.loop_counter = cmd.operand  # number of additional passes
                 self.loop_active = True
             if self.loop_counter != 0:
                 self.loop_counter -= 1
-                self.pc = cmd.target
+                self.pc = cmd.field & 0xFF
             else:
                 self.loop_active = False
                 self.pc += 1
         self.state = FsmState.FETCH
 
-    def _do_modify(self, t: int, segment: BusSegment) -> FsmState:
+    def _do_modify(self, t: int, segment: BusSegment) -> int:
         cmd = self.cmd
         old = self.txn.result
         self.stats.bus_reads += 1
         self.txn = None
-        if cmd.opcode is OpCode.CAPTURE:
+        if cmd.opcode == _CAPTURE:
             self.capture_reg = execute_capture(old, cmd.operand)
             self._last_effect = t
             self.pc += 1
@@ -450,7 +443,7 @@ class Link:
             self.state = FsmState.BUS_WRITE_PEND
         return FsmState.MODIFY
 
-    def _post(self, segment: BusSegment, t: int, kind: TxnKind, data: int = 0) -> None:
+    def _post(self, segment: BusSegment, t: int, kind: int, data: int = 0) -> None:
         address = self.config.base_address + 4 * self.cmd.field
         self.txn = BusTransaction(self.master_id, kind, address, data)
         segment.post(self.txn, t)
@@ -469,7 +462,7 @@ class Link:
                            "complete", completion - token.cycle)
         self._running = None
 
-    def _abort(self, t: int, detail: str) -> FsmState:
+    def _abort(self, t: int, detail: str) -> int:
         """Bus or decode failure: flag the link, drop the program, go idle."""
         self.error = True
         self.error_detail = self.error_detail or detail
@@ -483,7 +476,3 @@ class Link:
         self._running = None  # aborted tokens yield no latency sample
         self.state = FsmState.IDLE
         return FsmState.IDLE
-
-    @property
-    def idle(self) -> bool:
-        return self.state is IDLE and not self.fifo

@@ -83,8 +83,8 @@ model: it does not contend on the simulated bus; its transaction counts
 are reported separately.
 
 The trace schema, `Trace` and `emit_trace` live in `trace.py` and are
-re-exported here. A run's trace is held as one (shape, values...) tuple
-per record; `SimReport.trace` is a read-only sequence that shows each
+re-exported here. A run's trace is held flat, each record's shape then
+its values; `SimReport.trace` is a read-only sequence that shows each
 record as the dict its JSON line encodes.
 """
 
@@ -106,8 +106,8 @@ from .asm import (
     validate_against_capacity,
 )
 from .bus import BusModel
-from .core import (IDLE, MAX_FIFO_DEPTH, EventFabric, FsmState, Link,
-                   LinkConfig, TriggerMode)
+from .core import (FSM_STATE_NAMES, MAX_FIFO_DEPTH, TRIGGER_MODE_NAMES,
+                   EventFabric, FsmState, Link, LinkConfig)
 from .isa import ACTION_GROUP_WIDTH
 from .periph import (
     BaselineCpu,
@@ -376,8 +376,8 @@ def load_scenario(source: Union[dict, str, Path],
         scm_lines = _int(lr.get("scm_lines", 8), f"{loc}.scm_lines", 1,
                          MAX_PROGRAM_LENGTH)
         mode = lr.get("trigger_mode", "any")
-        try:
-            mode = TriggerMode(mode)
+        try:  # a TriggerMode code; `index` compares, so any value is safe
+            mode = TRIGGER_MODE_NAMES.index(mode)
         except ValueError:
             raise ConfigError(f"{loc}.trigger_mode", f"unknown mode {mode!r}") from None
         try:
@@ -514,7 +514,7 @@ class Simulation:
             block = spec.build()
             self.blocks.append(block)
             try:
-                self.bus.segment(spec.segment).attach(block)
+                self.bus.segments[spec.segment].attach(block)
             except ValueError as e:
                 raise ConfigError(f"peripherals ({spec.name})", str(e))
 
@@ -525,7 +525,7 @@ class Simulation:
                         master_id=i, trace=record)
             link.load_program(spec.program)
             self.links.append(link)
-            self._link_segments.append((link, self.bus.segment(spec.segment)))
+            self._link_segments.append((link, self.bus.segments[spec.segment]))
 
         self.baseline = BaselineCpu(scenario.baseline) if scenario.baseline else None
         self._baseline_cfg = (
@@ -545,22 +545,17 @@ class Simulation:
             if isinstance(b, Sensor) and b.triggered and b.trigger_line is not None
         ]
 
-    def block(self, name: str) -> RegisterBlock:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
     def _next_cycle(self, t: int, quiet: bool) -> Optional[int]:
         """The cycle to simulate after cycle t, or None when the run is
         quiescent. `quiet` is True when no link did any work in cycle t;
         then no output changed either, so loopback holds."""
-        # `BusSegment.idle` and `Link.idle`, inlined: this runs every cycle.
+        # A segment or link with work left steps again in t + 1.
         for segment in self.bus.segments:
             if segment.in_flight is not None or segment.pending:
                 return t + 1
+        idle = FsmState.IDLE
         for link in self.links:
-            if link.state is not IDLE or link.fifo:
+            if link.state is not idle or link.fifo:
                 return t + 1
         stimulus_cycles = self._stimulus_cycles
         pending = self.baseline.pending if self.baseline else ()
@@ -590,6 +585,7 @@ class Simulation:
         ticks = [block.tick for block in self._ticking]
         steps = [(link, link.step, segment) for link, segment in self._link_segments]
         segments = self.bus.segments
+        idle, fsm_names = FsmState.IDLE, FSM_STATE_NAMES
         stimulus_digest = sc.stimulus_digest()
         emit(HEADER, TRACE_FORMAT_VERSION, sc.source_digest, stimulus_digest,
              self.trace.level)
@@ -623,11 +619,11 @@ class Simulation:
             quiet = True
             for i, (link, step, segment) in enumerate(steps):
                 performed = step(t, fabric, segment)
-                if performed is not IDLE:
+                if performed is not idle:
                     quiet = False
                 if full and shown[i] != (performed, link.pc):
                     shown[i] = (performed, link.pc)
-                    emit(LINK, t, link.link_id, performed.value, link.pc)
+                    emit(LINK, t, link.link_id, fsm_names[performed], link.pc)
 
             if baseline:
                 if (fabric.rose & self._baseline_cfg.event_mask

@@ -58,8 +58,6 @@ class OpCode(IntEnum):
 REGISTER_OPCODES = frozenset(
     {OpCode.WRITE, OpCode.SET, OpCode.CLEAR, OpCode.TOGGLE, OpCode.CAPTURE}
 )
-# Opcodes performing a bus read, then a bitwise modify, then a write back.
-RMW_OPCODES = frozenset({OpCode.SET, OpCode.CLEAR, OpCode.TOGGLE})
 
 
 class Condition(IntEnum):

@@ -38,9 +38,10 @@ every cycle.
 optional key above makes a shape of its own. An emit site passes its
 shape and the raw values in field order, `trace(BUS_GRANT, t, seg,
 "grant", master, rw, address, wait)`; addresses and vectors stay ints
-until a record is serialised or viewed. A `Trace` holds those tuples.
-`emit_trace` writes each one through its shape's `%` template, and
-`Records` shows each one as the dict its JSON line encodes.
+until a record is serialised or viewed. A `Trace` keeps them flat, each
+shape then its `width` values, in lists of about `_CHUNK` slots, so no
+record costs an object and a long trace never copies itself to grow;
+`emit_trace` renders each by its shape's `%` template, `Records` as a dict.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from pathlib import Path
 
 TRACE_LEVELS = ("off", "grants", "full")
 TRACE_FORMAT_VERSION = 2
+_CHUNK = 1024  # slots per chunk of a trace's flat rows
 
 # Field formats: (template conversion, dict-view conversion).
 INT = ("%d", None)
@@ -62,14 +64,15 @@ TEXT = ("%s", None)            # free-form; json.dumps'd when serialised
 
 class Shape:
     """One record layout: its kind, the lowest level rank that keeps it
-    (`TRACE_LEVELS` index) and its fields in key order."""
+    (`TRACE_LEVELS` index), its fields in key order and their number."""
 
-    __slots__ = ("kind", "rank", "fields", "template", "render")
+    __slots__ = ("kind", "rank", "fields", "width", "template", "render")
 
     def __init__(self, kind: str, rank: int, *fields: tuple[str, tuple]):
         self.kind = kind
         self.rank = rank
         self.fields = fields
+        self.width = len(fields)
         keys = "".join(f',"{name}":{fmt[0]}' for name, fmt in fields)
         self.template = f'{{"kind":"{kind}"{keys}}}\n'
         text = [i for i, (_, fmt) in enumerate(fields) if fmt is TEXT]
@@ -124,45 +127,63 @@ SHAPES = (HEADER, END, BUS_REQUEST, BUS_GRANT, BUS_DATA, BUS_ERROR,
           PROGRAM_LATENCY, ACTION, LINK, BASELINE_IRQ, BASELINE_HANDLED)
 
 
-def _as_dict(row: tuple) -> dict:
-    return row[0].as_dict(row[1:])
+def _records(chunks: list[list]):
+    """(shape, values) of each record in the flat row chunks, in order."""
+    for rows in chunks:
+        i, n = 0, len(rows)
+        while i < n:
+            shape = rows[i]
+            j = i + 1 + shape.width
+            yield shape, rows[i + 1:j]
+            i = j
 
 
 class Records(Sequence):
-    """Read-only view of a trace: each record as the dict its line encodes."""
+    """Read-only view of a trace, each record as the dict its line encodes;
+    `len` and indexing walk the rows."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_chunks",)
 
-    def __init__(self, rows: list[tuple]):
-        self._rows = rows
+    def __init__(self, chunks: list[list]):
+        self._chunks = chunks
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(1 for _ in _records(self._chunks))
 
     def __getitem__(self, i: int) -> dict:
-        return _as_dict(self._rows[i])
+        if i < 0:
+            i += len(self)
+        for k, (shape, values) in enumerate(_records(self._chunks)):
+            if k == i:
+                return shape.as_dict(values)
+        raise IndexError("trace record index out of range")
 
     def __iter__(self):
-        return map(_as_dict, self._rows)
+        return (shape.as_dict(values) for shape, values in _records(self._chunks))
 
 
 class Trace:
     """Level-filtered, deterministic record accumulator.
 
-    `emit(shape, *values)` keeps the record when the level keeps its
-    shape; `records` is the read-only dict view of what was kept."""
+    `emit(shape, *values)` adds the shape and values to the open chunk
+    when the level keeps the shape; `records` is their dict view."""
 
     def __init__(self, level: str = "full"):
         if level not in TRACE_LEVELS:
             raise ValueError(f"unknown level {level!r}")
         self.level = level
         self._rank = TRACE_LEVELS.index(level)
-        self._rows: list[tuple] = []
-        self.records = Records(self._rows)
+        self._rows: list = []  # the open chunk: a shape, its values, ...
+        self._chunks = [self._rows]
+        self.records = Records(self._chunks)
 
     def emit(self, *record) -> None:
         if record[0].rank <= self._rank:
-            self._rows.append(record)
+            rows = self._rows
+            if len(rows) >= _CHUNK:
+                rows = self._rows = []
+                self._chunks.append(rows)
+            rows += record
 
 
 def emit_trace(report, sink) -> None:
@@ -172,8 +193,13 @@ def emit_trace(report, sink) -> None:
     out = open(sink, "w") if own else sink
     try:
         write = out.write
-        for row in report.trace._rows:
-            write(row[0].render(row[1:]))
+        for rows in map(tuple, report.trace._chunks):  # slices are `%`'s tuples
+            i, n = 0, len(rows)
+            while i < n:
+                shape = rows[i]
+                j = i + 1 + shape.width
+                write(shape.render(rows[i + 1:j]))
+                i = j
     finally:
         if own:
             out.close()

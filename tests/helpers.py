@@ -104,6 +104,16 @@ class _ReferenceLink(Link):
     and evaluates the trigger predicate, and every fetch decodes its SCM
     word, so the reference also runs the image through the codec."""
 
+    @property
+    def idle(self):
+        return self.state is FsmState.IDLE and not self.fifo
+
+    def load_image(self):
+        """Encode the loaded program into `scm`, the SCM word image that
+        each fetch decodes: one word per command, then blank lines."""
+        self.scm = [isa.encode(cmd) for cmd in self._commands]
+        self.scm += [isa.NOP_SENTINEL] * (self.scm_lines - len(self.scm))
+
     def step(self, t, fabric, segment):
         if not self.config.enabled:
             return FsmState.IDLE
@@ -152,12 +162,14 @@ class PerCycleSimulation(Simulation):
         self.fabric.__class__ = _UnfilteredFabric
         for link in self.links:
             link.__class__ = _ReferenceLink
+            link.load_image()
         self._ticking = list(self.blocks)  # Regs and Gpio tick as no-ops
 
     def _next_cycle(self, t, quiet):
         if ((not self._stimulus_cycles or self._stimulus_cycles[-1] <= t)
                 and all(link.idle for link in self.links)
-                and all(segment.idle for segment in self.bus.segments)
+                and all(segment.in_flight is None and not segment.pending
+                        for segment in self.bus.segments)
                 and (self.baseline is None or self.baseline.idle)
                 and not any(_active(b) for b in self.blocks)):
             return None

@@ -266,6 +266,23 @@ def test_pels_sweep_rejects_bad_int_list(tmp_path, capsys):
     assert "--links" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--links", "3..1", "empty range"),
+    ("--links", "0..2", "0 is outside 1..8"),
+    ("--links", "7..10", "10 is outside 1..8"),
+    # rejected by its ends, before a 10^8-element list is built
+    ("--links", "1..100000000", "100000000 is outside 1..8"),
+    ("--scm-lines", "4,0", "0 is outside 1..256"),
+])
+def test_pels_sweep_rejects_out_of_range_grids_before_running(
+        tmp_path, capsys, flag, spec, message):
+    path = _write_scenario(tmp_path, sequenced_scenario())
+    assert pels_main(["sweep", str(path), flag, spec]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert f"{flag}: " in err and message in err
+    assert out == ""  # no sweep table: nothing was simulated
+
+
 def test_pels_run_shipped_scenarios(capsys):
     assert pels_main(["run", str(SCENARIO_DIR / "instant.json"),
                       "--check", "2"]) == EXIT_OK

@@ -400,11 +400,6 @@ def test_error_flag_is_sticky():
 
 # ------------------------------------------------------------ program load --
 
-def test_load_fills_remaining_lines_with_sentinel():
-    b = Bench([Command.wait(1), Command.wait(2)], scm_lines=8)
-    assert b.link.scm[2:] == [0] * 6
-
-
 def test_load_capacity_exceeded():
     fab = EventFabric(32, 32)
     link = Link(0, cfg(), scm_lines=4)

@@ -2,11 +2,12 @@ import copy
 import hashlib
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from helpers import (
@@ -15,7 +16,7 @@ from helpers import (
     instant_scenario,
     sequenced_scenario,
 )
-from pels import harness
+from pels import harness, isa
 from pels.asm import Program, disassemble, validate_program
 from pels.core import EventFabric, Link
 from pels.harness import (
@@ -630,6 +631,16 @@ def test_skipping_kernel_matches_the_per_cycle_reference(raw):
         _check_bus_and_latency(fast, scenario)
 
 
+def test_reference_image_fills_remaining_lines_with_sentinel():
+    """The reference decodes every fetch from the word image it encodes
+    from the loaded program; the lines past the program are blank."""
+    sc = sequenced_scenario(source="wait 1\nwait 2")
+    sc["links"][0]["scm_lines"] = 8
+    link = PerCycleSimulation(load_scenario(sc)).links[0]
+    assert link.scm[:2] == [isa.encode(Command.wait(1)), isa.encode(Command.wait(2))]
+    assert link.scm[2:] == [0] * 6
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw=_scenarios(settle=True))
 def test_settled_runs_keep_the_bus_and_latency_invariants(raw):
@@ -638,6 +649,47 @@ def test_settled_runs_keep_the_bus_and_latency_invariants(raw):
     assert fast.to_dict() == PerCycleSimulation(scenario, "off").run().to_dict()
     if fast.end_reason == "quiescent" and not fast.errors:
         _check_bus_and_latency(fast, scenario)
+
+
+@st.composite
+def _contended(draw) -> dict:
+    """2-8 links on one segment with transfer time T = 1..4, all started by
+    one timer that pulses faster than the k * T cycles in which the bus
+    can serve each link once, so requests queue up on every round."""
+    k = draw(st.integers(2, 8))
+    transfer = draw(st.integers(1, 4))
+    ops = st.sampled_from(["write", "set", "clear", "toggle", "capture"])
+    links = [{"scm_lines": 4, "event_mask": "0x1", "base_address": "0x40000000",
+              "fifo_depth": draw(st.integers(1, 4)),
+              "program": {"source": "\n".join(
+                  f"{op} {draw(st.integers(0, 3))}, {draw(st.integers(0, 255))}"
+                  for op in draw(st.lists(ops, min_size=1, max_size=4)))}}
+             for _ in range(k)]
+    return {
+        "clock_limit": draw(st.integers(50, 400)),
+        "bus": {"segments": 1, "transfer_cycles": transfer},
+        "links": links,
+        "peripherals": [
+            {"type": "regs", "name": "r0", "base_address": "0x40000000",
+             "size_words": 4},
+            {"type": "timer", "name": "t0", "base_address": "0x40001000",
+             "period": draw(st.integers(1, k * transfer - 1)), "enabled": True,
+             "event_line": 0}],
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_contended())
+def test_round_robin_grant_waits_at_most_one_transfer_per_other_master(raw):
+    """With k masters on a segment and T-cycle transfers, a request waits
+    for at most one transfer of each other master: (k - 1) * T cycles."""
+    report = Simulation(load_scenario(raw), "grants").run()
+    bound = (len(raw["links"]) - 1) * raw["bus"]["transfer_cycles"]
+    waits = [r["wait"] for r in report.trace
+             if r["kind"] == "bus" and r["event"] == "grant"]
+    assert waits and not report.errors
+    target(max(waits) / bound)  # steer the search towards the bound
+    assert max(waits) <= bound
 
 
 @settings(max_examples=100, deadline=None)
@@ -673,6 +725,53 @@ def test_emit_trace_writes_the_json_of_each_record(raw, level):
     report = Simulation(load_scenario(raw), level).run()
     assert _jsonl(report) == "".join(
         json.dumps(record, separators=(",", ":")) + "\n" for record in report.trace)
+
+
+def _decode_errors() -> dict:
+    """Two links on a 16-word block, each addressing word 16: a failed read
+    (a `bus` complete record with error, no data) and a failed write (data
+    and error), so the trace holds shapes of both widths."""
+    sc = sequenced_scenario(source="capture 0x10, 0x1")
+    sc["links"].append(dict(sc["links"][0], program={"source": "write 0x10, 0x2"}))
+    return sc
+
+
+@settings(max_examples=150, deadline=None)
+@example(raw=_decode_errors(), level="full")
+@given(raw=st.booleans().flatmap(lambda settle: _scenarios(settle=settle)),
+       level=st.sampled_from(harness.TRACE_LEVELS))
+def test_trace_view_walks_the_records_that_emit_trace_writes(raw, level):
+    """`report.trace` finds each record in the flat rows by its shape's
+    width: its length, records and last record are those of the lines."""
+    report = Simulation(load_scenario(raw), level).run()
+    lines = [json.loads(line) for line in _jsonl(report).splitlines()]
+    assert len(report.trace) == len(lines)
+    assert list(report.trace) == lines
+    assert report.trace[-1] == lines[-1] and lines[-1]["kind"] == "end"
+    assert report.trace[0] == report.trace[-len(lines)] == lines[0]
+    with pytest.raises(IndexError):
+        report.trace[len(lines)]
+
+
+def test_a_full_trace_keeps_no_object_per_record():
+    """Records are kept flat, a shape and its values, so a record costs its
+    value slots (and any new int values) but no container of its own."""
+    sc = sequenced_scenario(stimuli=[], clock_limit=20_000)
+    sc["peripherals"].append({"type": "timer", "name": "t0",
+                              "base_address": "0x50000000", "period": 40,
+                              "enabled": True, "event_line": 0})
+    scenario = load_scenario(sc)
+    net = {}
+    for level in ("off", "full"):
+        sim = Simulation(scenario, level)
+        tracemalloc.start()
+        report = sim.run()
+        net[level] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+    records = len(report.trace)
+    assert records > 5000
+    # A tuple per record cost about 120 B; flat rows cost about 70 B.
+    assert (net["full"] - net["off"]) / records < 90
 
 
 def test_stimulus_digest_is_computed_once_per_run(monkeypatch):
