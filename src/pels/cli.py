@@ -163,11 +163,17 @@ def _read_report(path: Path) -> dict:
 
 def _cmd_compare(args) -> int:
     try:
-        result = harness.compare(_read_report(args.pels_report),
-                                 _read_report(args.baseline_report),
-                                 pels_mhz=args.pels_mhz,
+        reports = (_read_report(args.pels_report),
+                   _read_report(args.baseline_report))
+    except (OSError, ValueError, TypeError) as e:
+        return _fail(f"cannot read reports: {e}")
+    try:
+        result = harness.compare(*reports, pels_mhz=args.pels_mhz,
                                  baseline_mhz=args.baseline_mhz)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except ValueError as e:  # a clock frequency, led by its argument's name
+        name, detail = str(e).split(": ", 1)
+        return _fail(f"--{name.replace('_', '-')}: {detail}")
+    except (KeyError, TypeError) as e:
         return _fail(f"cannot read reports: {e}")
     except harness.MismatchedStimulus as e:
         return _fail(str(e))

@@ -83,15 +83,16 @@ model: it does not contend on the simulated bus; its transaction counts
 are reported separately.
 
 The trace schema, `Trace` and `emit_trace` live in `trace.py` and are
-re-exported here. A run's trace is held flat, each record's shape then
-its values; `SimReport.trace` is a read-only sequence that shows each
-record as the dict its JSON line encodes.
+re-exported here. A run's trace is held in chunks, a list of shapes and
+one of their values; `SimReport.trace` is a read-only sequence that shows
+each record as the dict its JSON line encodes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -589,11 +590,11 @@ class Simulation:
         stimulus_digest = sc.stimulus_digest()
         emit(HEADER, TRACE_FORMAT_VERSION, sc.source_digest, stimulus_digest,
              self.trace.level)
-        shown = [None] * len(steps)  # (fsm, pc) of each link's last record
+        shown = [-1] * len(steps)  # fsm + 8 * pc of each link's last record
         stim_levels = 0
         end_reason = "clock_limit"
         cycles = sc.clock_limit
-        last_fabric = (0, 0)
+        last_inputs = last_outputs = 0  # of the last fabric record
         t = 0
         while t < sc.clock_limit:
             for line, level in stimuli_at(t, ()):
@@ -621,8 +622,8 @@ class Simulation:
                 performed = step(t, fabric, segment)
                 if performed is not idle:
                     quiet = False
-                if full and shown[i] != (performed, link.pc):
-                    shown[i] = (performed, link.pc)
+                if full and shown[i] != (code := performed + 8 * link.pc):
+                    shown[i] = code  # states are 0..6
                     emit(LINK, t, link.link_id, fsm_names[performed], link.pc)
 
             if baseline:
@@ -637,9 +638,10 @@ class Simulation:
                             emit(BASELINE_HANDLED, t, "handled",
                                  completion - event_cycle)
 
-            if full and (fabric.inputs, fabric.outputs) != last_fabric:
-                last_fabric = (fabric.inputs, fabric.outputs)
-                emit(FABRIC, t, fabric.inputs, fabric.outputs)
+            if full and (fabric.inputs != last_inputs
+                         or fabric.outputs != last_outputs):
+                last_inputs, last_outputs = fabric.inputs, fabric.outputs
+                emit(FABRIC, t, last_inputs, last_outputs)
             for segment in segments:
                 if segment.in_flight is not None or segment.pending:  # not idle
                     segment.step(t)
@@ -762,8 +764,17 @@ def compare(pels_report: Union[SimReport, dict],
 
     The simulator is frequency-agnostic; pass per-side clock frequencies
     to annotate the cycle counts with wall-clock latencies (iso-latency
-    style comparisons at different clocks).
+    style comparisons at different clocks). Give both or neither, each
+    finite and > 0 (MHz); else ValueError, its message led by the name
+    of the bad argument.
     """
+    if (pels_mhz is None) != (baseline_mhz is None):
+        missing = "pels_mhz" if pels_mhz is None else "baseline_mhz"
+        raise ValueError(f"{missing}: missing; give both clock frequencies "
+                         "or neither")
+    for name, mhz in (("pels_mhz", pels_mhz), ("baseline_mhz", baseline_mhz)):
+        if mhz is not None and not (mhz > 0 and math.isfinite(mhz)):
+            raise ValueError(f"{name}: {mhz} is not a finite frequency > 0")
     a = pels_report.to_dict() if isinstance(pels_report, SimReport) else pels_report
     b = (baseline_report.to_dict() if isinstance(baseline_report, SimReport)
          else baseline_report)
@@ -791,7 +802,7 @@ def compare(pels_report: Union[SimReport, dict],
         "shared_memory_fetches": {"pels": pels_fetches, "baseline": base_fetches,
                                   "ratio": _ratio(base_fetches, pels_fetches)},
     }
-    if pels_mhz and baseline_mhz:
+    if pels_mhz is not None:
         result["wall_clock"] = {
             "pels_mhz": pels_mhz,
             "baseline_mhz": baseline_mhz,

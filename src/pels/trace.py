@@ -38,21 +38,41 @@ every cycle.
 optional key above makes a shape of its own. An emit site passes its
 shape and the raw values in field order, `trace(BUS_GRANT, t, seg,
 "grant", master, rw, address, wait)`; addresses and vectors stay ints
-until a record is serialised or viewed. A `Trace` keeps them flat, each
-shape then its `width` values, in lists of about `_CHUNK` slots, so no
-record costs an object and a long trace never copies itself to grow;
-`emit_trace` renders each by its shape's `%` template, `Records` as a dict.
+until a record is serialised or viewed.
+
+A `Trace` keeps its records in chunks of `_CHUNK` records: the shapes,
+and their values, `width` per shape, in a parallel sequence.
+`Trace._chunks` alternates the two: shapes, values, shapes, values. The
+open chunk holds a list of shapes and a list of the values tuple of each
+emit call; when it is full it is frozen to two exact-size tuples, the
+values flattened, and the next one opens. So a closed record costs no
+object of its own, a long trace never copies itself to grow, and a
+chunk is never resized once it leaves the small-object allocator.
+
+`emit_trace` writes one chunk at a time: the templates of its shapes
+joined into one format string, applied by one `%` to its values, so the
+per-record work runs in C and the memory it borrows is one rendered
+chunk. A record with a `TEXT` field (`header`, `error`, a bus error)
+needs `json.dumps`; it is rendered alone by `Shape.render` and the plain
+records around it in runs as above.
+`Records` shows each record as a dict; `len` sums the chunks' shape
+counts and `[i]` skips whole chunks.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 TRACE_LEVELS = ("off", "grants", "full")
 TRACE_FORMAT_VERSION = 2
-_CHUNK = 1024  # slots per chunk of a trace's flat rows
+# Records per trace chunk. The open chunk's two lists and a frozen shapes
+# tuple then fit CPython's small-object allocator (512 bytes), so a chunk
+# takes one block from the system heap: its values tuple, at exact size.
+_CHUNK = 56
 
 # Field formats: (template conversion, dict-view conversion).
 INT = ("%d", None)
@@ -66,7 +86,7 @@ class Shape:
     """One record layout: its kind, the lowest level rank that keeps it
     (`TRACE_LEVELS` index), its fields in key order and their number."""
 
-    __slots__ = ("kind", "rank", "fields", "width", "template", "render")
+    __slots__ = ("kind", "rank", "fields", "width", "text", "template", "render")
 
     def __init__(self, kind: str, rank: int, *fields: tuple[str, tuple]):
         self.kind = kind
@@ -75,7 +95,9 @@ class Shape:
         self.width = len(fields)
         keys = "".join(f',"{name}":{fmt[0]}' for name, fmt in fields)
         self.template = f'{{"kind":"{kind}"{keys}}}\n'
-        text = [i for i, (_, fmt) in enumerate(fields) if fmt is TEXT]
+        # indices of the TEXT fields; a shape without any renders by `%` alone
+        self.text = text = tuple(
+            i for i, (_, fmt) in enumerate(fields) if fmt is TEXT)
         if not text:
             self.render = self.template.__mod__
         else:
@@ -125,41 +147,80 @@ BASELINE_HANDLED = Shape("baseline", 2, _T, ("event", IDENT), ("latency", INT))
 SHAPES = (HEADER, END, BUS_REQUEST, BUS_GRANT, BUS_DATA, BUS_ERROR,
           BUS_DATA_ERROR, ERROR, STIMULUS, FABRIC, TRIGGER, PROGRAM,
           PROGRAM_LATENCY, ACTION, LINK, BASELINE_IRQ, BASELINE_HANDLED)
+_TEXT_SHAPES = frozenset(shape for shape in SHAPES if shape.text)
+_width, _template = attrgetter("width"), attrgetter("template")
 
 
-def _records(chunks: list[list]):
-    """(shape, values) of each record in the flat row chunks, in order."""
-    for rows in chunks:
-        i, n = 0, len(rows)
-        while i < n:
-            shape = rows[i]
-            j = i + 1 + shape.width
-            yield shape, rows[i + 1:j]
-            i = j
+def _walk(shapes, values):
+    """(shape, values) of each record of one chunk, in order."""
+    j = 0
+    for shape in shapes:
+        k = j + shape.width
+        yield shape, values[j:k]
+        j = k
+
+
+def _render(shapes, values: tuple) -> str:
+    """The JSON lines of one chunk's records: one `%` for a run of plain
+    records; a record with a TEXT field alone, by `Shape.render`."""
+    if _TEXT_SHAPES.isdisjoint(shapes):
+        return "".join(map(_template, shapes)) % values
+    parts = []
+    run = j0 = j = 0  # the plain run's first record and first value
+    for k, shape in enumerate(shapes):
+        if shape.text:
+            parts.append("".join(map(_template, shapes[run:k])) % values[j0:j])
+            j0 = j + shape.width
+            parts.append(shape.render(values[j:j0]))
+            run = k + 1
+        j += shape.width
+    parts.append("".join(map(_template, shapes[run:])) % values[j0:])
+    return "".join(parts)
 
 
 class Records(Sequence):
-    """Read-only view of a trace, each record as the dict its line encodes;
-    `len` and indexing walk the rows."""
+    """Read-only view of a trace, each record as the dict its line encodes.
+    `len` sums the chunks' shape counts and `[i]` skips whole chunks."""
 
     __slots__ = ("_chunks",)
 
-    def __init__(self, chunks: list[list]):
+    def __init__(self, chunks: list):
         self._chunks = chunks
 
+    def _pairs(self) -> list:
+        """(shapes, flat values) of each chunk; the open one is flattened."""
+        chunks = self._chunks
+        pairs = list(zip(chunks[:-2:2], chunks[1:-2:2]))
+        pairs.append((chunks[-2], tuple(chain.from_iterable(chunks[-1]))))
+        return pairs
+
     def __len__(self) -> int:
-        return sum(1 for _ in _records(self._chunks))
+        return sum(map(len, self._chunks[::2]))
 
     def __getitem__(self, i: int) -> dict:
+        if not isinstance(i, int):
+            raise TypeError(
+                f"trace indices must be integers, not {type(i).__name__}")
         if i < 0:
             i += len(self)
-        for k, (shape, values) in enumerate(_records(self._chunks)):
-            if k == i:
-                return shape.as_dict(values)
+        if i >= 0:
+            for shapes, values in self._pairs():
+                if i < len(shapes):
+                    shape = shapes[i]
+                    j = sum(map(_width, shapes[:i]))
+                    return shape.as_dict(values[j:j + shape.width])
+                i -= len(shapes)
         raise IndexError("trace record index out of range")
 
     def __iter__(self):
-        return (shape.as_dict(values) for shape, values in _records(self._chunks))
+        for shapes, values in self._pairs():
+            for shape, record in _walk(shapes, values):
+                yield shape.as_dict(record)
+
+    def __reversed__(self):
+        for shapes, values in reversed(self._pairs()):
+            for shape, record in reversed(list(_walk(shapes, values))):
+                yield shape.as_dict(record)
 
 
 class Trace:
@@ -173,33 +234,35 @@ class Trace:
             raise ValueError(f"unknown level {level!r}")
         self.level = level
         self._rank = TRACE_LEVELS.index(level)
-        self._rows: list = []  # the open chunk: a shape, its values, ...
-        self._chunks = [self._rows]
+        self._chunks: list = []  # shapes, values, shapes, values, ...
+        self._open()
         self.records = Records(self._chunks)
 
-    def emit(self, *record) -> None:
-        if record[0].rank <= self._rank:
-            rows = self._rows
-            if len(rows) >= _CHUNK:
-                rows = self._rows = []
-                self._chunks.append(rows)
-            rows += record
+    def _open(self) -> None:
+        """Freeze the open chunk, if any, and open the next one."""
+        chunks = self._chunks
+        if chunks:
+            chunks[-2:] = tuple(chunks[-2]), tuple(chain.from_iterable(chunks[-1]))
+        self._shapes, self._values = [], []  # shapes; a values tuple per shape
+        chunks += self._shapes, self._values
+
+    def emit(self, shape, *values) -> None:
+        if shape.rank <= self._rank:
+            if len(self._shapes) >= _CHUNK:
+                self._open()
+            self._shapes.append(shape)
+            self._values.append(values)
 
 
 def emit_trace(report, sink) -> None:
-    """Write `report.trace` as JSON Lines, one record at a time;
+    """Write `report.trace` as JSON Lines, one chunk at a time;
     byte-identical across reruns."""
     own = isinstance(sink, (str, Path))
     out = open(sink, "w") if own else sink
     try:
         write = out.write
-        for rows in map(tuple, report.trace._chunks):  # slices are `%`'s tuples
-            i, n = 0, len(rows)
-            while i < n:
-                shape = rows[i]
-                j = i + 1 + shape.width
-                write(shape.render(rows[i + 1:j]))
-                i = j
+        for shapes, values in report.trace._pairs():
+            write(_render(shapes, values))
     finally:
         if own:
             out.close()

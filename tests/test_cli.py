@@ -239,6 +239,25 @@ def test_pels_compare_cli(tmp_path, capsys):
     assert result["latency"]["ratio"] == pytest.approx(16 / 7)
 
 
+@pytest.mark.parametrize("clocks, flag", [
+    (["--pels-mhz", "-5", "--baseline-mhz", "10"], "--pels-mhz"),
+    (["--pels-mhz", "nan", "--baseline-mhz", "10"], "--pels-mhz"),
+    (["--pels-mhz", "0", "--baseline-mhz", "10"], "--pels-mhz"),
+    (["--pels-mhz", "10", "--baseline-mhz", "inf"], "--baseline-mhz"),
+    (["--pels-mhz", "10"], "--baseline-mhz"),
+    (["--baseline-mhz", "10"], "--pels-mhz"),
+])
+def test_pels_compare_rejects_a_bad_clock_frequency(tmp_path, capsys, clocks, flag):
+    report = tmp_path / "r.json"
+    assert pels_main(["run", str(SCENARIO_DIR / "sequenced.json"),
+                      "--report", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert pels_main(["compare", str(report), str(report), *clocks]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ") and "cannot read" not in err
+
+
 def test_pels_compare_rejects_report_that_is_not_an_object(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text("[1]")

@@ -375,6 +375,23 @@ def test_compare_wall_clock_annotation():
     assert "wall_clock" not in compare(pels, base)
 
 
+@pytest.mark.parametrize("pels_mhz, baseline_mhz, bad", [
+    (-5, 10, "pels_mhz"),
+    (float("nan"), 10, "pels_mhz"),
+    (0, 10, "pels_mhz"),
+    (10, float("inf"), "baseline_mhz"),
+    (10, -0.0, "baseline_mhz"),
+    (10, None, "baseline_mhz"),
+    (None, 10, "pels_mhz"),
+])
+def test_compare_rejects_a_bad_or_lone_clock_frequency(pels_mhz, baseline_mhz, bad):
+    """Both frequencies or neither, each finite and > 0; a bad one used
+    to give negative or non-JSON latencies, or silently no `wall_clock`."""
+    report = run(instant_scenario())
+    with pytest.raises(ValueError, match=f"^{bad}: "):
+        compare(report, report, pels_mhz=pels_mhz, baseline_mhz=baseline_mhz)
+
+
 def test_compare_labels_power_as_not_simulated():
     report = run(instant_scenario())
     result = compare(report, report)
@@ -741,8 +758,9 @@ def _decode_errors() -> dict:
 @given(raw=st.booleans().flatmap(lambda settle: _scenarios(settle=settle)),
        level=st.sampled_from(harness.TRACE_LEVELS))
 def test_trace_view_walks_the_records_that_emit_trace_writes(raw, level):
-    """`report.trace` finds each record in the flat rows by its shape's
-    width: its length, records and last record are those of the lines."""
+    """`report.trace` finds each record in its chunk by the widths of the
+    shapes before it: its length, records and last record are those of
+    the lines."""
     report = Simulation(load_scenario(raw), level).run()
     lines = [json.loads(line) for line in _jsonl(report).splitlines()]
     assert len(report.trace) == len(lines)
@@ -754,8 +772,9 @@ def test_trace_view_walks_the_records_that_emit_trace_writes(raw, level):
 
 
 def test_a_full_trace_keeps_no_object_per_record():
-    """Records are kept flat, a shape and its values, so a record costs its
-    value slots (and any new int values) but no container of its own."""
+    """Records are kept as a shape and its values in a chunk's two lists, so
+    a record costs its slots (and any new int values) but no container of
+    its own."""
     sc = sequenced_scenario(stimuli=[], clock_limit=20_000)
     sc["peripherals"].append({"type": "timer", "name": "t0",
                               "base_address": "0x50000000", "period": 40,
@@ -770,7 +789,7 @@ def test_a_full_trace_keeps_no_object_per_record():
         tracemalloc.stop()
     records = len(report.trace)
     assert records > 5000
-    # A tuple per record cost about 120 B; flat rows cost about 70 B.
+    # A tuple per record cost about 120 B; flat chunks cost about 71 B.
     assert (net["full"] - net["off"]) / records < 90
 
 

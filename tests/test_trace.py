@@ -1,14 +1,21 @@
 """The trace schema: every shape's template line is the JSON of its dict
 view, and each level keeps exactly the shapes of its rank or below."""
 
+import io
 import json
+import os
+import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import SCENARIO_DIR
 from pels import harness, trace
-from pels.trace import HEX, IDENT, INT, SHAPES, TEXT, TRACE_LEVELS, WORD, Trace
+from pels.trace import (BUS_GRANT, END, FABRIC, HEADER, HEX, IDENT, INT, LINK,
+                        SHAPES, TEXT, TRACE_LEVELS, WORD, Trace, emit_trace)
 
 _WORDS = st.integers(0, 2**32 - 1)
 # Free-form strings, with the characters JSON must escape made common.
@@ -79,3 +86,95 @@ def test_unknown_level_is_a_config_error():
         Trace("verbose")
     with pytest.raises(harness.ConfigError, match="trace_level"):
         harness.Simulation(harness.Scenario(), "verbose")
+
+
+def _records(shapes):
+    """(shape, values) pairs of records drawn from `shapes`."""
+    return st.sampled_from(shapes).flatmap(
+        lambda shape: st.tuples(st.just(shape), _record(shape)))
+
+
+def _rendered(kept: Trace) -> str:
+    sink = io.StringIO()
+    emit_trace(SimpleNamespace(trace=kept.records), sink)
+    return sink.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), level=st.sampled_from(TRACE_LEVELS),
+       chunk=st.integers(1, 8))
+def test_chunk_render_equals_the_render_of_each_record(data, level, chunk):
+    """`emit_trace` renders a chunk by one `%` and each TEXT record alone:
+    it must equal `Shape.render` per record, over at least 3 chunk
+    boundaries, with TEXT records (escape-heavy) anywhere in a chunk."""
+    rank = TRACE_LEVELS.index(level)
+    kept = data.draw(st.lists(_records([s for s in SHAPES if s.rank <= rank]),
+                              min_size=4 * chunk, max_size=6 * chunk))
+    above = [s for s in SHAPES if s.rank > rank]
+    dropped = data.draw(st.lists(_records(above), max_size=8)) if above else []
+    emitted = list(kept)
+    for record in dropped:
+        emitted.insert(data.draw(st.integers(0, len(emitted))), record)
+    with mock.patch.object(trace, "_CHUNK", chunk):
+        traced = Trace(level)
+        for shape, values in emitted:
+            traced.emit(shape, *values)
+    assert len(traced._chunks) >= 8  # 3 frozen chunks and the open one
+    assert _rendered(traced) == "".join(shape.render(v) for shape, v in kept)
+    assert list(traced.records) == [shape.as_dict(v) for shape, v in kept]
+
+
+def _several_chunks() -> tuple[Trace, list[dict]]:
+    """A full trace of records of three widths over many chunks."""
+    kept = Trace("full")
+    kept.emit(HEADER, 2, "scenario", "stimulus", "full")
+    for t in range(600):
+        kept.emit(LINK, t, t % 8, "FETCH", t % 5)
+        if t % 3 == 0:
+            kept.emit(BUS_GRANT, t, 0, "grant", t % 8, "read", 0x40000000 + 4 * t, 2)
+        if t % 7 == 0:
+            kept.emit(FABRIC, t, t, t >> 1)
+    kept.emit(END, 600, "clock_limit")
+    return kept, [json.loads(line) for line in _rendered(kept).splitlines()]
+
+
+def test_indexing_skips_whole_chunks_across_frozen_and_open_ones():
+    kept, lines = _several_chunks()
+    records, n = kept.records, len(lines)
+    chunks = kept._chunks
+    assert len(chunks) >= 8 and all(type(c) is tuple for c in chunks[:-2])
+    assert type(chunks[-1]) is list and len(chunks[-2]) > 0  # the open chunk
+    assert len(records) == n == sum(len(shapes) for shapes in chunks[::2])
+    assert [records[i] for i in range(n)] == lines
+    assert [records[i] for i in range(-n, 0)] == lines
+    assert list(reversed(records)) == lines[::-1]
+    # the first and last record of every chunk, by both signs
+    first = 0
+    for shapes in chunks[::2]:
+        for i in (first, first + len(shapes) - 1):
+            assert records[i] == records[i - n] == lines[i]
+        first += len(shapes)
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            records[bad]
+    with pytest.raises(TypeError, match="indices must be integers"):
+        records[1:3]
+
+
+def test_rendering_a_long_trace_borrows_one_chunk_of_memory():
+    """`emit_trace` renders a chunk at a time, so what it allocates beyond
+    the trace it writes is one chunk's format string, lines and encoding
+    (under 30 KiB here, whatever the trace's length). The bound is 64 KiB;
+    the whole `contention8` trace at `full`, 35k records, renders to
+    about 2.4 MB, so a change that builds the file in memory fails."""
+    report = harness.run(SCENARIO_DIR / "contention8.json", "full")
+    assert len(report.trace) >= 20_000
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            emit_trace(report, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - held < 64 * 1024
