@@ -85,8 +85,6 @@ class BusSegment:
         transfer_cycles: int = 2,
         trace: Optional[Callable] = None,
     ):
-        if transfer_cycles < 1:
-            raise ValueError("transfer_cycles must be >= 1")
         self.seg_id = seg_id
         self.transfer_cycles = transfer_cycles
         self.arbiter = ArbiterState(n_masters)
@@ -198,8 +196,6 @@ class BusModel:
         transfer_cycles: int = 2,
         trace: Optional[Callable] = None,
     ):
-        if segments < 1:
-            raise ValueError("at least one bus segment is required")
         self.segments = [
             BusSegment(i, n_masters, transfer_cycles, trace) for i in range(segments)
         ]

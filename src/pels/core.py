@@ -40,9 +40,6 @@ from .bus import BusSegment, BusTransaction, TxnKind
 from .isa import ActionMode, Command, OpCode
 from .trace import ACTION, ERROR, PROGRAM, PROGRAM_LATENCY, TRIGGER
 
-# Trigger FIFO depths a link may be configured with: 1..MAX_FIFO_DEPTH.
-MAX_FIFO_DEPTH = 16
-
 
 class TriggerMode:
     """Trigger predicate modes: codes into TRIGGER_MODE_NAMES."""
@@ -94,12 +91,6 @@ class LinkConfig:
     base_address: int = 0
     enabled: bool = True
 
-    def __post_init__(self):
-        if self.base_address % 4:
-            raise ValueError(
-                f"base address 0x{self.base_address:08x} not word aligned"
-            )
-
 
 def evaluate_trigger(inputs: int, cfg: LinkConfig) -> bool:
     """Masked trigger condition; an empty mask never fires in either mode."""
@@ -135,16 +126,9 @@ class EventFabric:
 
     def __init__(self, n_inputs: int = 32, n_outputs: int = 32,
                  loopback: Optional[dict[int, int]] = None):
-        if n_inputs < 1 or n_outputs < 1:
-            raise ValueError("fabric needs at least one input and output line")
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
         self.loopback = dict(loopback or {})
-        for out_line, in_line in self.loopback.items():
-            if not 0 <= out_line < n_outputs:
-                raise ValueError(f"loopback source line {out_line} out of range")
-            if not 0 <= in_line < n_inputs:
-                raise ValueError(f"loopback destination line {in_line} out of range")
         self.inputs = 0        # settled input vector for the current cycle
         self.rose = 0          # input lines asserted now but not last cycle
         self.outputs = 0       # action-driven output levels
@@ -248,20 +232,14 @@ class Link:
         config: LinkConfig,
         scm_lines: int = 8,
         fifo_depth: int = 4,
-        master_id: Optional[int] = None,
         trace: Optional[Callable] = None,
     ):
-        if scm_lines < 1:
-            raise ValueError("scm_lines must be positive")
-        if not 1 <= fifo_depth <= MAX_FIFO_DEPTH:
-            raise ValueError(f"fifo_depth must be within 1..{MAX_FIFO_DEPTH}")
         self.link_id = link_id
         self.config = config
         self.scm_lines = scm_lines  # SCM capacity in lines
         self._commands: tuple[Command, ...] = ()  # the loaded program
         self.fifo: deque[TriggerToken] = deque()
         self.fifo_depth = fifo_depth
-        self.master_id = link_id if master_id is None else master_id
         self.trace = trace
 
         self.state = FsmState.IDLE
@@ -445,7 +423,7 @@ class Link:
 
     def _post(self, segment: BusSegment, t: int, kind: int, data: int = 0) -> None:
         address = self.config.base_address + 4 * self.cmd.field
-        self.txn = BusTransaction(self.master_id, kind, address, data)
+        self.txn = BusTransaction(self.link_id, kind, address, data)
         segment.post(self.txn, t)
 
     def _complete_program(self, t: int) -> None:

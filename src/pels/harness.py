@@ -37,11 +37,13 @@ ConfigError naming the bad field, e.g. `links[0].enabled`; a bad row of
   1..65536, stimulus levels 0..1, `clock_limit` and `transfer_cycles`
   from 1. Masks, lines and segments must exist; at most 8 links.
 - Flags (`enabled`, `triggered`) are JSON true or false.
-- Addresses are word aligned.
+- Link and peripheral base addresses are word aligned (`_address`).
 - A program must assemble and fit its link's `scm_lines`.
 
-Overlapping register blocks are reported by the Simulation constructor,
-also as ConfigError; every other error is reported at load.
+These readers are the one check of each range and of alignment; the
+model classes check none, as only `Simulation` builds them, from a
+loaded Scenario. Overlapping register blocks (`BusSegment.attach`) are
+the one ConfigError raised later, by the Simulation constructor.
 
 Stimuli are (cycle, input line, level) settings of held level lines;
 peripheral event outputs are one-cycle pulses. Each cycle runs in a
@@ -77,10 +79,9 @@ these rules can change a report or a trace:
   decoded.
 - Bus: only segments with a transfer in flight or pending are stepped.
 
-Within a run, master ids 0..n_links-1 are the links and the baseline
-model (when present) takes the next id. The baseline is an accounting
-model: it does not contend on the simulated bus; its transaction counts
-are reported separately.
+Within a run, link i is bus master i. The baseline is an accounting
+model: it holds no master id and does not contend on the simulated bus;
+its transaction counts are reported separately.
 
 The trace schema, `Trace` and `emit_trace` live in `trace.py` and are
 re-exported here. A run's trace is held in chunks, a list of shapes and
@@ -107,8 +108,8 @@ from .asm import (
     validate_against_capacity,
 )
 from .bus import BusModel
-from .core import (FSM_STATE_NAMES, MAX_FIFO_DEPTH, TRIGGER_MODE_NAMES,
-                   EventFabric, FsmState, Link, LinkConfig)
+from .core import (FSM_STATE_NAMES, TRIGGER_MODE_NAMES, EventFabric, FsmState,
+                   Link, LinkConfig)
 from .isa import ACTION_GROUP_WIDTH
 from .periph import (
     BaselineCpu,
@@ -125,6 +126,7 @@ from .trace import (BASELINE_HANDLED, BASELINE_IRQ, END, FABRIC, HEADER, LINK,
                     emit_trace)
 
 MAX_LINKS = 8
+MAX_FIFO_DEPTH = 16  # a link's trigger FIFO holds 1..MAX_FIFO_DEPTH tokens
 _WORD_MAX = 0xFFFF_FFFF
 # Action commands address at most 256 groups of output lines; inputs
 # share the bound so that masks stay small integers.
@@ -175,6 +177,15 @@ def _int(value, location: str, lo: int = 0, hi: int = _WORD_MAX) -> int:
     return value
 
 
+def _address(value, location: str) -> int:
+    """A word-aligned byte address. Bus addresses are base + 4 * field, so
+    an aligned base keeps every transaction and register word aligned."""
+    address = _int(value, location)
+    if address % 4:
+        raise ConfigError(location, f"base address 0x{address:08x} not word aligned")
+    return address
+
+
 def _flag(value, location: str) -> bool:
     if value is not True and value is not False:
         raise ConfigError(location, f"expected true or false, got {value!r}")
@@ -203,11 +214,11 @@ def _schedule(value, location: str, n_inputs: int) -> list[tuple[int, int]]:
 
 
 # Peripheral parameter readers, called as (value, location, fabric inputs).
-# Absent keys take the block constructor's default; the constructors own
-# the word-alignment and non-empty size_words rules.
+# Absent keys take the block constructor's default; the constructors check
+# nothing, so each range is stated here.
 _PARAMS = {
     "pins": lambda v, loc, n: _int(v, loc, 0, 32),
-    "size_words": lambda v, loc, n: _int(v, loc, hi=_MAX_REGS_WORDS),
+    "size_words": lambda v, loc, n: _int(v, loc, 1, _MAX_REGS_WORDS),
     "period": lambda v, loc, n: _int(v, loc),
     "enabled": lambda v, loc, n: _flag(v, loc),
     "triggered": lambda v, loc, n: _flag(v, loc),
@@ -276,10 +287,14 @@ class Scenario:
                              p.params.get("enabled", False),
                              p.params.get("event_line")])
             elif p.kind == "sensor":
-                gens.append(["sensor",
-                             [list(e) for e in p.params.get("schedule", [])],
-                             p.params.get("event_line"),
-                             p.params.get("triggered", False)])
+                # `Sensor` sorts its schedule and reads trigger_line only when triggered
+                triggered = p.params.get("triggered", False)
+                entry = ["sensor",
+                         [list(e) for e in sorted(p.params.get("schedule", []))],
+                         p.params.get("event_line"), triggered]
+                if triggered:
+                    entry.append(p.params.get("trigger_line"))
+                gens.append(entry)
         payload = json.dumps(
             {"stimuli": sorted(self.stimuli), "generators": sorted(gens, key=str)},
             sort_keys=True,
@@ -381,19 +396,16 @@ def load_scenario(source: Union[dict, str, Path],
             mode = TRIGGER_MODE_NAMES.index(mode)
         except ValueError:
             raise ConfigError(f"{loc}.trigger_mode", f"unknown mode {mode!r}") from None
-        try:
-            config = LinkConfig(
+        sc.links.append(LinkSpec(
+            scm_lines,
+            LinkConfig(
                 event_mask=_int(lr.get("event_mask", 0), f"{loc}.event_mask",
                                 0, mask_max),
                 trigger_mode=mode,
-                base_address=_int(lr.get("base_address", 0), f"{loc}.base_address"),
+                base_address=_address(lr.get("base_address", 0),
+                                      f"{loc}.base_address"),
                 enabled=_flag(lr.get("enabled", True), f"{loc}.enabled"),
-            )
-        except ValueError as e:  # LinkConfig owns the alignment rule
-            raise ConfigError(f"{loc}.base_address", str(e)) from None
-        sc.links.append(LinkSpec(
-            scm_lines,
-            config,
+            ),
             _int(lr.get("fifo_depth", 4), f"{loc}.fifo_depth", 1, MAX_FIFO_DEPTH),
             _int(lr.get("segment", 0), f"{loc}.segment", 0, n_seg - 1),
             _load_program(lr.get("program", {"source": ""}), base_dir,
@@ -406,25 +418,19 @@ def load_scenario(source: Union[dict, str, Path],
         kind = _str(pr.get("type"), f"{loc}.type")
         if kind not in _PERIPHERALS:
             raise ConfigError(f"{loc}.type", f"unknown peripheral type {kind!r}")
-        spec = PeripheralSpec(
+        sc.peripherals.append(PeripheralSpec(
             kind,
             _str(pr.get("name", f"{kind}{i}"), f"{loc}.name"),
-            _int(pr.get("base_address", 0), f"{loc}.base_address"),
+            _address(pr.get("base_address", 0), f"{loc}.base_address"),
             _int(pr.get("segment", 0), f"{loc}.segment", 0, n_seg - 1),
             {key: _PARAMS[key](pr[key], f"{loc}.{key}", n_in)
              for key in _PERIPHERALS[kind][1] if key in pr},
-        )
-        try:
-            spec.build()  # the block constructors own alignment and size rules
-        except ValueError as e:
-            raise ConfigError(loc, str(e)) from None
-        sc.peripherals.append(spec)
+        ))
 
     br = raw.get("baseline")
     if br is not None:
         br = _obj(br, "baseline")
         sc.baseline = BaselineCpuModel(
-            master_id=len(sc.links),
             event_mask=_int(br.get("event_mask", mask_max), "baseline.event_mask",
                             0, mask_max),
             **{key: _int(br[key], f"baseline.{key}")
@@ -507,8 +513,7 @@ class Simulation:
         self._full = level == "full"
         self.fabric = EventFabric(scenario.fabric_inputs, scenario.fabric_outputs,
                                   scenario.loopback)
-        n_masters = len(scenario.links) + (1 if scenario.baseline else 0)
-        self.bus = BusModel(max(n_masters, 1), scenario.bus_segments,
+        self.bus = BusModel(max(len(scenario.links), 1), scenario.bus_segments,
                             scenario.transfer_cycles, trace=record)
         self.blocks: list[RegisterBlock] = []
         for spec in scenario.peripherals:
@@ -522,8 +527,7 @@ class Simulation:
         self.links: list[Link] = []
         self._link_segments = []
         for i, spec in enumerate(scenario.links):
-            link = Link(i, spec.config, spec.scm_lines, spec.fifo_depth,
-                        master_id=i, trace=record)
+            link = Link(i, spec.config, spec.scm_lines, spec.fifo_depth, trace=record)
             link.load_program(spec.program)
             self.links.append(link)
             self._link_segments.append((link, self.bus.segments[spec.segment]))
@@ -569,8 +573,8 @@ class Simulation:
         due = [c for c in (b.next_event(t) for b in self._ticking) if c is not None]
         i = bisect_right(stimulus_cycles, t)
         due += stimulus_cycles[i:i + 1]
-        if pending:
-            due.append(min(c for _, c in pending))
+        if pending:  # completions come in order: the first is the earliest
+            due.append(pending[0][1])
         return min(due) if due else None
 
     def run(self) -> SimReport:

@@ -33,6 +33,7 @@ peripheral transactions the handler would have issued.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -42,10 +43,6 @@ class RegisterBlock:
     """Base class: a disjoint range of word-addressed 32-bit registers."""
 
     def __init__(self, name: str, base_address: int, size_words: int):
-        if base_address % 4:
-            raise ValueError(f"base address 0x{base_address:08x} not word aligned")
-        if size_words <= 0:
-            raise ValueError("size_words must be positive")
         self.name = name
         self.base_address = base_address
         self.size_words = size_words
@@ -236,13 +233,8 @@ class BaselineCpuModel:
     interrupt_entry_cycles: int = 10
     handler_cycles: int = 6
     memory_fetches_per_handler: int = 16
-    master_id: int = 0
     event_mask: int = 0xFFFF_FFFF
     peripheral_txns_per_event: int = 2  # the handler's read + write
-
-    @property
-    def total_latency(self) -> int:
-        return self.interrupt_entry_cycles + self.handler_cycles
 
 
 class BaselineCpu:
@@ -250,7 +242,7 @@ class BaselineCpu:
 
     def __init__(self, model: BaselineCpuModel):
         self.model = model
-        self.pending: list[tuple[int, int]] = []  # (event cycle, completion cycle)
+        self.pending: deque[tuple[int, int]] = deque()  # (event, completion) cycles
         self.latency_samples: list[int] = []
         self.shared_memory_fetches = 0
         self.bus_transactions = 0
@@ -258,20 +250,21 @@ class BaselineCpu:
 
     def handle_event(self, t: int) -> int:
         """Register an event at cycle t; returns its completion cycle."""
-        completion = t + self.model.total_latency
+        completion = t + self.model.interrupt_entry_cycles + self.model.handler_cycles
         self.pending.append((t, completion))
         self.events += 1
         return completion
 
     def step(self, t: int) -> list[tuple[int, int]]:
-        """Complete any handlers finishing at cycle t and book activity."""
-        finished = [(e, c) for e, c in self.pending if c == t]
-        if finished:
-            self.pending = [(e, c) for e, c in self.pending if c != t]
-            for event_cycle, completion in finished:
-                self.latency_samples.append(completion - event_cycle)
-                self.shared_memory_fetches += self.model.memory_fetches_per_handler
-                self.bus_transactions += self.model.peripheral_txns_per_event
+        """Complete the handlers finishing at cycle t and book activity;
+        every event takes the same latency, so they finish in FIFO order."""
+        pending, finished = self.pending, []
+        while pending and pending[0][1] == t:
+            event_cycle, completion = pending.popleft()
+            finished.append((event_cycle, completion))
+            self.latency_samples.append(completion - event_cycle)
+            self.shared_memory_fetches += self.model.memory_fetches_per_handler
+            self.bus_transactions += self.model.peripheral_txns_per_event
         return finished
 
     @property

@@ -55,8 +55,10 @@ per-record work runs in C and the memory it borrows is one rendered
 chunk. A record with a `TEXT` field (`header`, `error`, a bus error)
 needs `json.dumps`; it is rendered alone by `Shape.render` and the plain
 records around it in runs as above.
-`Records` shows each record as a dict; `len` sums the chunks' shape
-counts and `[i]` skips whole chunks.
+`Records` shows each record as a dict by parsing, with `json.loads`, the
+line that `_render` or `Shape.render` writes for it, so a field's
+template conversion is the one statement of its JSON form. `len` sums
+the chunks' shape counts and `[i]` skips whole chunks.
 """
 
 from __future__ import annotations
@@ -74,12 +76,12 @@ TRACE_FORMAT_VERSION = 2
 # takes one block from the system heap: its values tuple, at exact size.
 _CHUNK = 56
 
-# Field formats: (template conversion, dict-view conversion).
-INT = ("%d", None)
-IDENT = ('"%s"', None)         # a name from a fixed set; never needs escapes
-HEX = ('"0x%x"', "0x%x")       # an output or input vector
-WORD = ('"0x%08x"', "0x%08x")  # a bus address or data word
-TEXT = ("%s", None)            # free-form; json.dumps'd when serialised
+# Field formats: each field's JSON form, as its template conversion.
+INT = "%d"
+IDENT = '"%s"'      # a name from a fixed set; never needs escapes
+HEX = '"0x%x"'      # an output or input vector
+WORD = '"0x%08x"'   # a bus address or data word
+TEXT = "%s"         # free-form; json.dumps'd when serialised
 
 
 class Shape:
@@ -88,16 +90,16 @@ class Shape:
 
     __slots__ = ("kind", "rank", "fields", "width", "text", "template", "render")
 
-    def __init__(self, kind: str, rank: int, *fields: tuple[str, tuple]):
+    def __init__(self, kind: str, rank: int, *fields: tuple[str, str]):
         self.kind = kind
         self.rank = rank
         self.fields = fields
         self.width = len(fields)
-        keys = "".join(f',"{name}":{fmt[0]}' for name, fmt in fields)
+        keys = "".join(f',"{name}":{fmt}' for name, fmt in fields)
         self.template = f'{{"kind":"{kind}"{keys}}}\n'
         # indices of the TEXT fields; a shape without any renders by `%` alone
         self.text = text = tuple(
-            i for i, (_, fmt) in enumerate(fields) if fmt is TEXT)
+            i for i, (_, fmt) in enumerate(fields) if fmt == TEXT)
         if not text:
             self.render = self.template.__mod__
         else:
@@ -107,12 +109,6 @@ class Shape:
                     values[i] = json.dumps(values[i])
                 return template % tuple(values)
             self.render = render
-
-    def as_dict(self, values: tuple) -> dict:
-        record = {"kind": self.kind}
-        for (name, fmt), value in zip(self.fields, values):
-            record[name] = value if fmt[1] is None else fmt[1] % value
-        return record
 
     def __repr__(self) -> str:
         return f"Shape({self.kind!r}, {[name for name, _ in self.fields]})"
@@ -151,15 +147,6 @@ _TEXT_SHAPES = frozenset(shape for shape in SHAPES if shape.text)
 _width, _template = attrgetter("width"), attrgetter("template")
 
 
-def _walk(shapes, values):
-    """(shape, values) of each record of one chunk, in order."""
-    j = 0
-    for shape in shapes:
-        k = j + shape.width
-        yield shape, values[j:k]
-        j = k
-
-
 def _render(shapes, values: tuple) -> str:
     """The JSON lines of one chunk's records: one `%` for a run of plain
     records; a record with a TEXT field alone, by `Shape.render`."""
@@ -178,8 +165,13 @@ def _render(shapes, values: tuple) -> str:
     return "".join(parts)
 
 
+def _parse(shapes, values: tuple) -> list[dict]:
+    """The records of one chunk, each parsed from the line it renders to."""
+    return list(map(json.loads, _render(shapes, values).split("\n")[:-1]))
+
+
 class Records(Sequence):
-    """Read-only view of a trace, each record as the dict its line encodes.
+    """Read-only view of a trace, each record parsed from its JSON line.
     `len` sums the chunks' shape counts and `[i]` skips whole chunks."""
 
     __slots__ = ("_chunks",)
@@ -208,19 +200,17 @@ class Records(Sequence):
                 if i < len(shapes):
                     shape = shapes[i]
                     j = sum(map(_width, shapes[:i]))
-                    return shape.as_dict(values[j:j + shape.width])
+                    return json.loads(shape.render(values[j:j + shape.width]))
                 i -= len(shapes)
         raise IndexError("trace record index out of range")
 
     def __iter__(self):
         for shapes, values in self._pairs():
-            for shape, record in _walk(shapes, values):
-                yield shape.as_dict(record)
+            yield from _parse(shapes, values)
 
     def __reversed__(self):
         for shapes, values in reversed(self._pairs()):
-            for shape, record in reversed(list(_walk(shapes, values))):
-                yield shape.as_dict(record)
+            yield from reversed(_parse(shapes, values))
 
 
 class Trace:

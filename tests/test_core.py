@@ -82,13 +82,6 @@ def test_rmw_examples():
     assert execute_rmw(0x0000_00FF, OpCode.TOGGLE, 0x0000_0F0F) == 0x0000_0FF0
 
 
-def test_link_config_rejects_unaligned_base():
-    # A link's bus addresses are its base plus 4 * field, so an aligned
-    # base keeps every transaction word aligned.
-    with pytest.raises(ValueError):
-        LinkConfig(event_mask=1, base_address=0x4000_0001)
-
-
 def test_rmw_rejects_non_rmw_opcode():
     with pytest.raises(ValueError):
         execute_rmw(0, OpCode.WRITE, 0)

@@ -129,6 +129,20 @@ def _link(**fields) -> dict:
     ({"fabric": {"loopback": {0: 5, "1": 3}}}, "fabric.loopback"),
     ({"links": [{"notes": {0: 5, "1": 3}}]}, "links[0].notes"),  # never read
     ({0: 5, "1": 3}, "scenario"),
+    # ranges and alignment that only the loader states
+    ({"fabric": {"inputs": 0}}, "fabric.inputs"),
+    ({"fabric": {"outputs": 8193}}, "fabric.outputs"),
+    ({"fabric": {"outputs": 4, "loopback": {"4": 0}}}, "fabric.loopback"),
+    ({"fabric": {"inputs": 4, "loopback": {"0": 4}}}, "fabric.loopback"),
+    ({"bus": {"segments": 0}}, "bus.segments"),
+    ({"bus": {"transfer_cycles": 0}}, "bus.transfer_cycles"),
+    (_link(fifo_depth=0), "links[0].fifo_depth"),
+    (_link(fifo_depth=17), "links[0].fifo_depth"),
+    (_link(scm_lines=0), "links[0].scm_lines"),
+    (instant_scenario(peripherals=[{"type": "regs", "size_words": 0}]),
+     "peripherals[0].size_words"),
+    (instant_scenario(peripherals=[{"type": "regs", "base_address": "0x40000002"}]),
+     "peripherals[0].base_address"),
 ])
 def test_malformed_shapes_raise_config_error(scenario, location):
     with pytest.raises(ConfigError) as exc:
@@ -355,6 +369,42 @@ def test_compare_mismatched_stimulus():
     b = run(instant_scenario(stimuli=[[3, 0, 1]]))
     with pytest.raises(MismatchedStimulus):
         compare(a, b)
+
+
+def _triggered_sensor(trigger_line: int) -> dict:
+    """A stimulus on line 0, a sensor converting on a rise of
+    `trigger_line` and pulsing line 2 when done, and a baseline on line 2."""
+    return {
+        "clock_limit": 60,
+        "peripherals": [{"type": "sensor", "base_address": "0x40000000",
+                         "schedule": [[0, 7]], "event_line": 2,
+                         "triggered": True, "trigger_line": trigger_line}],
+        "baseline": {"event_mask": "0x4"},
+        "stimuli": [[0, 0, 1]],
+    }
+
+
+def test_stimulus_digest_covers_a_triggered_sensors_trigger_line():
+    on, off = run(_triggered_sensor(0)), run(_triggered_sensor(1))
+    assert (on.baseline["events"], off.baseline["events"]) == (1, 0)
+    assert on.stimulus_digest != off.stimulus_digest
+    with pytest.raises(MismatchedStimulus):
+        compare(on, off)
+    # an untriggered sensor never reads its trigger line
+    untriggered = [load_scenario(_sensor(trigger_line=line)).stimulus_digest()
+                   for line in (0, 1)]
+    assert untriggered[0] == untriggered[1]
+
+
+def test_stimulus_digest_ignores_the_order_a_schedule_is_written_in():
+    sensor = {"type": "sensor", "base_address": "0x40000000", "event_line": 0}
+    reports = [run({"clock_limit": 20,
+                    "peripherals": [dict(sensor, schedule=schedule)],
+                    "baseline": {"event_mask": "0x1"}})
+               for schedule in ([[5, 1], [2, 3]], [[2, 3], [5, 1]])]
+    assert reports[0].stimulus_digest == reports[1].stimulus_digest
+    assert reports[0].baseline == reports[1].baseline
+    assert compare(*reports)["latency"]["ratio"] == 1.0
 
 
 def test_compare_wall_clock_annotation():

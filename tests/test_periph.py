@@ -1,8 +1,7 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pels.periph import BaselineCpu, BaselineCpuModel, Gpio, Regs, Sensor, Timer
+from pels.periph import BaselineCpu, BaselineCpuModel, Gpio, Sensor, Timer
 
 
 # ------------------------------------------------------------------- gpio --
@@ -281,14 +280,3 @@ def test_baseline_activity_scales_with_events():
     assert cpu.shared_memory_fetches == 32
     assert cpu.bus_transactions == 4
 
-
-# --------------------------------------------------------------- validation --
-
-def test_register_block_rejects_unaligned_base():
-    with pytest.raises(ValueError):
-        Regs("r", 0x4000_0002, 4)
-
-
-def test_register_block_rejects_empty():
-    with pytest.raises(ValueError):
-        Regs("r", 0x4000_0000, 0)
