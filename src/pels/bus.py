@@ -48,7 +48,6 @@ class BusTransaction:
     address: int
     data: int = 0  # write payload
     issue_cycle: int = 0
-    grant_cycle: Optional[int] = None
     complete_cycle: Optional[int] = None
     result: int = 0  # read return value
     done: bool = False
@@ -82,8 +81,8 @@ class BusSegment:
         self,
         seg_id: int,
         n_masters: int,
-        transfer_cycles: int = 2,
-        trace: Optional[Callable] = None,
+        transfer_cycles: int,
+        trace: Optional[Callable],
     ):
         self.seg_id = seg_id
         self.transfer_cycles = transfer_cycles
@@ -129,20 +128,17 @@ class BusSegment:
             self.trace(BUS_REQUEST, cycle, self.seg_id, "request", txn.master_id,
                        TXN_KIND_NAMES[txn.kind], txn.address)
 
-    def step(self, t: int) -> list[BusTransaction]:
+    def step(self, t: int) -> None:
         """Advance one cycle: finalize a completing transfer, then grant."""
-        done: list[BusTransaction] = []
         txn = self.in_flight
         if txn is not None and txn.complete_cycle == t:
             self._finalize(txn, t)
-            done.append(txn)
             self.in_flight = None
 
         if self.in_flight is None and self.pending:
             granted = arbitrate(self.arbiter, self.pending)
             if granted is not None:
                 txn = self.pending.pop(granted)
-                txn.grant_cycle = t
                 txn.complete_cycle = t + self.transfer_cycles
                 self.in_flight = txn
                 wait = t - txn.issue_cycle
@@ -152,7 +148,6 @@ class BusSegment:
                 if self.trace:
                     self.trace(BUS_GRANT, t, self.seg_id, "grant", granted,
                                TXN_KIND_NAMES[txn.kind], txn.address, wait)
-        return done
 
     def _finalize(self, txn: BusTransaction, t: int) -> None:
         read = txn.kind is TxnKind.READ
@@ -185,17 +180,3 @@ class BusSegment:
             else:
                 self.trace(BUS_DATA, *head, txn.result)
 
-
-class BusModel:
-    """All segments plus the master-id space shared across them."""
-
-    def __init__(
-        self,
-        n_masters: int,
-        segments: int = 1,
-        transfer_cycles: int = 2,
-        trace: Optional[Callable] = None,
-    ):
-        self.segments = [
-            BusSegment(i, n_masters, transfer_cycles, trace) for i in range(segments)
-        ]

@@ -240,7 +240,7 @@ def pels_main(argv=None) -> int:
     p_run.add_argument("scenario", type=Path)
     p_run.add_argument("--trace", type=Path, help="write a JSONL trace")
     p_run.add_argument("--report", type=Path, help="write the full report JSON")
-    p_run.add_argument("--trace-level", choices=harness.TRACE_LEVELS, default=None)
+    p_run.add_argument("--trace-level", choices=harness.TRACE_LEVELS, default="full")
     p_run.add_argument("--check", help="assert latencies: '7' or '0:2,1:5'")
     p_run.set_defaults(func=_cmd_run)
 

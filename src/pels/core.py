@@ -86,10 +86,10 @@ class LinkBusy(RuntimeError):
 
 @dataclass
 class LinkConfig:
-    event_mask: int = 0
-    trigger_mode: int = TriggerMode.ANY_SELECTED_ACTIVE
-    base_address: int = 0
-    enabled: bool = True
+    event_mask: int
+    trigger_mode: int  # a TriggerMode code
+    base_address: int
+    enabled: bool
 
 
 def evaluate_trigger(inputs: int, cfg: LinkConfig) -> bool:
@@ -124,11 +124,10 @@ class EventFabric:
     """Single-wire event lines: broadcast inputs, grouped action outputs,
     and a registered output-to-input loopback."""
 
-    def __init__(self, n_inputs: int = 32, n_outputs: int = 32,
-                 loopback: Optional[dict[int, int]] = None):
+    def __init__(self, n_inputs: int, n_outputs: int, loopback: dict[int, int]):
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
-        self.loopback = dict(loopback or {})
+        self.loopback = loopback  # output line -> input line; never written
         self.inputs = 0        # settled input vector for the current cycle
         self.rose = 0          # input lines asserted now but not last cycle
         self.outputs = 0       # action-driven output levels
@@ -230,9 +229,9 @@ class Link:
         self,
         link_id: int,
         config: LinkConfig,
-        scm_lines: int = 8,
-        fifo_depth: int = 4,
-        trace: Optional[Callable] = None,
+        scm_lines: int,
+        fifo_depth: int,
+        trace: Optional[Callable],
     ):
         self.link_id = link_id
         self.config = config
@@ -254,7 +253,6 @@ class Link:
         self.error = False
         self.error_detail: Optional[str] = None
 
-        self._token_seq = 0
         self._running: Optional[TriggerToken] = None
         self._last_effect: Optional[int] = None
         self.latency_samples: list[int] = []
@@ -288,9 +286,8 @@ class Link:
     def _detect_trigger(self, t: int, fabric: EventFabric) -> None:
         if not fabric.rising_trigger(self.config):
             return
+        token = TriggerToken(self.stats.trigger_events, t)  # seq: events before it
         self.stats.trigger_events += 1
-        token = TriggerToken(self._token_seq, t)
-        self._token_seq += 1
         if len(self.fifo) < self.fifo_depth:
             self.fifo.append(token)
             self.stats.triggers_accepted += 1

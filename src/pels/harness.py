@@ -84,9 +84,9 @@ model: it holds no master id and does not contend on the simulated bus;
 its transaction counts are reported separately.
 
 The trace schema, `Trace` and `emit_trace` live in `trace.py` and are
-re-exported here. A run's trace is held in chunks, a list of shapes and
-one of their values; `SimReport.trace` is a read-only sequence that shows
-each record as the dict its JSON line encodes.
+re-exported here. `SimReport.trace` is the run's `Trace`: its records
+held in chunks, counted by `len` and iterated as the dicts their JSON
+lines encode.
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -107,9 +106,9 @@ from .asm import (
     assemble_text,
     validate_against_capacity,
 )
-from .bus import BusModel
+from .bus import BusSegment
 from .core import (FSM_STATE_NAMES, TRIGGER_MODE_NAMES, EventFabric, FsmState,
-                   Link, LinkConfig)
+                   Link, LinkConfig, TriggerMode)
 from .isa import ACTION_GROUP_WIDTH
 from .periph import (
     BaselineCpu,
@@ -122,8 +121,7 @@ from .periph import (
 )
 # Trace, emit_trace and the two constants are re-exported as harness names.
 from .trace import (BASELINE_HANDLED, BASELINE_IRQ, END, FABRIC, HEADER, LINK,
-                    STIMULUS, TRACE_FORMAT_VERSION, TRACE_LEVELS, Records, Trace,
-                    emit_trace)
+                    STIMULUS, TRACE_FORMAT_VERSION, TRACE_LEVELS, Trace, emit_trace)
 
 MAX_LINKS = 8
 MAX_FIFO_DEPTH = 16  # a link's trigger FIFO holds 1..MAX_FIFO_DEPTH tokens
@@ -241,11 +239,11 @@ _BASELINE_COUNTS = ("interrupt_entry_cycles", "handler_cycles",
 
 @dataclass
 class LinkSpec:
-    scm_lines: int = 8
-    config: LinkConfig = field(default_factory=LinkConfig)
-    fifo_depth: int = 4
-    segment: int = 0
-    program: Program = field(default_factory=lambda: Program(()))
+    scm_lines: int
+    config: LinkConfig
+    fifo_depth: int
+    segment: int
+    program: Program
 
 
 @dataclass
@@ -255,8 +253,8 @@ class PeripheralSpec:
     kind: str
     name: str
     base_address: int
-    segment: int = 0
-    params: dict = field(default_factory=dict)
+    segment: int
+    params: dict  # constructor keyword arguments: the keys the scenario sets
 
     def build(self) -> RegisterBlock:
         block_class, _ = _PERIPHERALS[self.kind]
@@ -265,42 +263,19 @@ class PeripheralSpec:
 
 @dataclass
 class Scenario:
-    clock_limit: int = 10_000
-    fabric_inputs: int = 32
-    fabric_outputs: int = 32
-    loopback: dict[int, int] = field(default_factory=dict)
-    bus_segments: int = 1
-    transfer_cycles: int = 2
-    links: list[LinkSpec] = field(default_factory=list)
-    peripherals: list[PeripheralSpec] = field(default_factory=list)
-    baseline: Optional[BaselineCpuModel] = None
-    stimuli: list[tuple[int, int, int]] = field(default_factory=list)
-    source_digest: str = ""
+    """A loaded scenario; `load_scenario` sets every field."""
 
-    def stimulus_digest(self) -> str:
-        """Digest of everything that generates events: the stimuli plus
-        the event-producing peripheral configuration."""
-        gens = []
-        for p in self.peripherals:
-            if p.kind == "timer":
-                gens.append(["timer", p.params.get("period", 0),
-                             p.params.get("enabled", False),
-                             p.params.get("event_line")])
-            elif p.kind == "sensor":
-                # `Sensor` sorts its schedule and reads trigger_line only when triggered
-                triggered = p.params.get("triggered", False)
-                entry = ["sensor",
-                         [list(e) for e in sorted(p.params.get("schedule", []))],
-                         p.params.get("event_line"), triggered]
-                if triggered:
-                    entry.append(p.params.get("trigger_line"))
-                gens.append(entry)
-        payload = json.dumps(
-            {"stimuli": sorted(self.stimuli), "generators": sorted(gens, key=str)},
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
+    clock_limit: int
+    fabric_inputs: int
+    fabric_outputs: int
+    loopback: dict[int, int]
+    bus_segments: int
+    transfer_cycles: int
+    links: list[LinkSpec]
+    peripherals: list[PeripheralSpec]
+    baseline: Optional[BaselineCpuModel]
+    stimuli: list[tuple[int, int, int]]
+    source_digest: str
 
 
 def _unsortable_keys(node, location: str = "scenario") -> Optional[str]:
@@ -383,6 +358,7 @@ def load_scenario(source: Union[dict, str, Path],
         },
         bus_segments=n_seg,
         transfer_cycles=_int(bus.get("transfer_cycles", 2), "bus.transfer_cycles", 1),
+        links=[], peripherals=[], baseline=None, stimuli=[],
         source_digest=_source_digest(raw),
     )
 
@@ -463,20 +439,12 @@ class SimReport:
     baseline: Optional[dict]
     activity: dict
     errors: list[dict]
-    trace: Records
+    trace: Trace
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_digest": self.scenario_digest,
-            "stimulus_digest": self.stimulus_digest,
-            "cycles": self.cycles,
-            "end_reason": self.end_reason,
-            "per_link": self.per_link,
-            "bus": self.bus,
-            "baseline": self.baseline,
-            "activity": self.activity,
-            "errors": self.errors,
-        }
+        """Every field but the trace, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "trace"}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -496,46 +464,71 @@ def _latency_block(samples: list[int]) -> dict:
     }
 
 
+def _stimulus_digest(stimuli: list[tuple[int, int, int]],
+                     blocks: list[RegisterBlock]) -> str:
+    """Digest of everything that generates events, read before the first
+    cycle: the level each stimulus (cycle, line) is left at, as the last
+    setting wins, and the event configuration of each built Timer and
+    Sensor (a sensor reads its trigger line only when triggered)."""
+    levels = {(cycle, line): level for cycle, line, level in stimuli}
+    gens = []
+    for block in blocks:
+        if isinstance(block, Timer):
+            gens.append(["timer", block.period, block.enabled, block.event_line])
+        elif isinstance(block, Sensor):
+            entry = ["sensor", list(map(list, block.schedule)), block.event_line,
+                     block.triggered]
+            if block.triggered:
+                entry.append(block.trigger_line)
+            gens.append(entry)
+    payload = json.dumps(
+        {"stimuli": sorted((*key, level) for key, level in levels.items()),
+         "generators": sorted(gens, key=str)},
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 class Simulation:
     """One scenario bound to fresh fabric/link/bus/peripheral state.
     `run()` may be called once; build a new Simulation to run again."""
 
-    def __init__(self, scenario: Scenario, trace_level: Optional[str] = None):
-        level = trace_level or os.environ.get("PELS_TRACE_LEVEL", "full")
+    def __init__(self, scenario: Scenario, trace_level: str = "full"):
         self.scenario = scenario
         try:
-            self.trace = Trace(level)
+            self.trace = Trace(trace_level)
         except ValueError as e:
             raise ConfigError("trace_level", str(e)) from None
         # Links and segments write only kinds that "off" drops; the
         # harness's own kinds (stimulus, link, baseline, fabric) are "full" only.
-        record = None if level == "off" else self.trace.emit
-        self._full = level == "full"
+        record = None if trace_level == "off" else self.trace.emit
+        self._full = trace_level == "full"
         self.fabric = EventFabric(scenario.fabric_inputs, scenario.fabric_outputs,
                                   scenario.loopback)
-        self.bus = BusModel(max(len(scenario.links), 1), scenario.bus_segments,
-                            scenario.transfer_cycles, trace=record)
+        n_masters = max(len(scenario.links), 1)  # link i is master i
+        self.segments = [BusSegment(i, n_masters, scenario.transfer_cycles, record)
+                         for i in range(scenario.bus_segments)]
         self.blocks: list[RegisterBlock] = []
         for spec in scenario.peripherals:
             block = spec.build()
             self.blocks.append(block)
             try:
-                self.bus.segments[spec.segment].attach(block)
+                self.segments[spec.segment].attach(block)
             except ValueError as e:
                 raise ConfigError(f"peripherals ({spec.name})", str(e))
 
         self.links: list[Link] = []
         self._link_segments = []
         for i, spec in enumerate(scenario.links):
-            link = Link(i, spec.config, spec.scm_lines, spec.fifo_depth, trace=record)
+            link = Link(i, spec.config, spec.scm_lines, spec.fifo_depth, record)
             link.load_program(spec.program)
             self.links.append(link)
-            self._link_segments.append((link, self.bus.segments[spec.segment]))
+            self._link_segments.append((link, self.segments[spec.segment]))
 
         self.baseline = BaselineCpu(scenario.baseline) if scenario.baseline else None
         self._baseline_cfg = (
-            LinkConfig(event_mask=scenario.baseline.event_mask) if scenario.baseline
-            else None
+            LinkConfig(scenario.baseline.event_mask, TriggerMode.ANY_SELECTED_ACTIVE,
+                       0, True) if scenario.baseline else None
         )
         self._stimuli_by_cycle: dict[int, list[tuple[int, int]]] = {}
         for cycle, line, level in scenario.stimuli:
@@ -555,7 +548,7 @@ class Simulation:
         quiescent. `quiet` is True when no link did any work in cycle t;
         then no output changed either, so loopback holds."""
         # A segment or link with work left steps again in t + 1.
-        for segment in self.bus.segments:
+        for segment in self.segments:
             if segment.in_flight is not None or segment.pending:
                 return t + 1
         idle = FsmState.IDLE
@@ -578,7 +571,7 @@ class Simulation:
         return min(due) if due else None
 
     def run(self) -> SimReport:
-        if self.trace.records:  # the header of an earlier run
+        if len(self.trace):  # the header of an earlier run
             raise RuntimeError("Simulation.run() is single-use; build a new Simulation")
         sc = self.scenario
         emit = self.trace.emit
@@ -589,9 +582,9 @@ class Simulation:
         stimuli_at = self._stimuli_by_cycle.get
         ticks = [block.tick for block in self._ticking]
         steps = [(link, link.step, segment) for link, segment in self._link_segments]
-        segments = self.bus.segments
+        segments = self.segments
         idle, fsm_names = FsmState.IDLE, FSM_STATE_NAMES
-        stimulus_digest = sc.stimulus_digest()
+        stimulus_digest = _stimulus_digest(sc.stimuli, self.blocks)
         emit(HEADER, TRACE_FORMAT_VERSION, sc.source_digest, stimulus_digest,
              self.trace.level)
         shown = [-1] * len(steps)  # fsm + 8 * pc of each link's last record
@@ -685,19 +678,17 @@ class Simulation:
                 "error_detail": link.error_detail,
             })
 
+        # Link i is master i and posts only to its own segment, where each
+        # read or write follows a grant.
         per_master: dict[str, dict] = {}
-        grants = 0
-        for seg in self.bus.segments:
-            grants += seg.grants
-            for master in sorted(set(seg.master_reads) | set(seg.master_writes)
-                                 | set(seg.grant_waits)):
-                entry = per_master.setdefault(
-                    str(master), {"reads": 0, "writes": 0, "grant_waits": {}})
-                entry["reads"] += seg.master_reads.get(master, 0)
-                entry["writes"] += seg.master_writes.get(master, 0)
-                for wait, count in sorted(seg.grant_waits.get(master, {}).items()):
-                    key = str(wait)
-                    entry["grant_waits"][key] = entry["grant_waits"].get(key, 0) + count
+        for link, seg in self._link_segments:
+            master = link.link_id
+            if master in seg.grant_waits:
+                per_master[str(master)] = {
+                    "reads": seg.master_reads.get(master, 0),
+                    "writes": seg.master_writes.get(master, 0),
+                    "grant_waits": {str(wait): count for wait, count
+                                    in seg.grant_waits[master].items()}}
 
         link_bus_txns = sum(l.stats.bus_reads + l.stats.bus_writes for l in self.links)
         baseline_block = None
@@ -720,7 +711,8 @@ class Simulation:
             cycles=cycles,
             end_reason=end_reason,
             per_link=per_link,
-            bus={"per_master": per_master, "grants": grants},
+            bus={"per_master": per_master,
+                 "grants": sum(seg.grants for seg in self.segments)},
             baseline=baseline_block,
             activity={
                 "label": "power proxy: activity counts only, power is not simulated",
@@ -730,12 +722,12 @@ class Simulation:
                 "bus_transactions": link_bus_txns + baseline_txns,
             },
             errors=errors,
-            trace=self.trace.records,
+            trace=self.trace,
         )
 
 
 def run(scenario: Union[Scenario, dict, str, Path],
-        trace_level: Optional[str] = None) -> SimReport:
+        trace_level: str = "full") -> SimReport:
     """Load (if needed) and simulate a scenario to completion."""
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)

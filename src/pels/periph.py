@@ -230,10 +230,10 @@ class BaselineCpuModel:
     """Constant-latency interrupt handling: every event completes
     entry + handler cycles after it fires, with fixed activity counts."""
 
+    event_mask: int  # input lines that raise the interrupt, in "any" mode
     interrupt_entry_cycles: int = 10
     handler_cycles: int = 6
     memory_fetches_per_handler: int = 16
-    event_mask: int = 0xFFFF_FFFF
     peripheral_txns_per_event: int = 2  # the handler's read + write
 
 

@@ -55,16 +55,14 @@ per-record work runs in C and the memory it borrows is one rendered
 chunk. A record with a `TEXT` field (`header`, `error`, a bus error)
 needs `json.dumps`; it is rendered alone by `Shape.render` and the plain
 records around it in runs as above.
-`Records` shows each record as a dict by parsing, with `json.loads`, the
-line that `_render` or `Shape.render` writes for it, so a field's
-template conversion is the one statement of its JSON form. `len` sums
-the chunks' shape counts and `[i]` skips whole chunks.
+Iterating a `Trace` yields each record as a dict, parsed with
+`json.loads` from the line that `_render` writes for it, so a field's
+template conversion is the one statement of its JSON form.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -144,7 +142,7 @@ SHAPES = (HEADER, END, BUS_REQUEST, BUS_GRANT, BUS_DATA, BUS_ERROR,
           BUS_DATA_ERROR, ERROR, STIMULUS, FABRIC, TRIGGER, PROGRAM,
           PROGRAM_LATENCY, ACTION, LINK, BASELINE_IRQ, BASELINE_HANDLED)
 _TEXT_SHAPES = frozenset(shape for shape in SHAPES if shape.text)
-_width, _template = attrgetter("width"), attrgetter("template")
+_template = attrgetter("template")
 
 
 def _render(shapes, values: tuple) -> str:
@@ -165,59 +163,12 @@ def _render(shapes, values: tuple) -> str:
     return "".join(parts)
 
 
-def _parse(shapes, values: tuple) -> list[dict]:
-    """The records of one chunk, each parsed from the line it renders to."""
-    return list(map(json.loads, _render(shapes, values).split("\n")[:-1]))
-
-
-class Records(Sequence):
-    """Read-only view of a trace, each record parsed from its JSON line.
-    `len` sums the chunks' shape counts and `[i]` skips whole chunks."""
-
-    __slots__ = ("_chunks",)
-
-    def __init__(self, chunks: list):
-        self._chunks = chunks
-
-    def _pairs(self) -> list:
-        """(shapes, flat values) of each chunk; the open one is flattened."""
-        chunks = self._chunks
-        pairs = list(zip(chunks[:-2:2], chunks[1:-2:2]))
-        pairs.append((chunks[-2], tuple(chain.from_iterable(chunks[-1]))))
-        return pairs
-
-    def __len__(self) -> int:
-        return sum(map(len, self._chunks[::2]))
-
-    def __getitem__(self, i: int) -> dict:
-        if not isinstance(i, int):
-            raise TypeError(
-                f"trace indices must be integers, not {type(i).__name__}")
-        if i < 0:
-            i += len(self)
-        if i >= 0:
-            for shapes, values in self._pairs():
-                if i < len(shapes):
-                    shape = shapes[i]
-                    j = sum(map(_width, shapes[:i]))
-                    return json.loads(shape.render(values[j:j + shape.width]))
-                i -= len(shapes)
-        raise IndexError("trace record index out of range")
-
-    def __iter__(self):
-        for shapes, values in self._pairs():
-            yield from _parse(shapes, values)
-
-    def __reversed__(self):
-        for shapes, values in reversed(self._pairs()):
-            yield from reversed(_parse(shapes, values))
-
-
 class Trace:
     """Level-filtered, deterministic record accumulator.
 
     `emit(shape, *values)` adds the shape and values to the open chunk
-    when the level keeps the shape; `records` is their dict view."""
+    when the level keeps the shape. `len` sums the chunks' shape counts;
+    iteration yields each record as the dict its JSON line encodes."""
 
     def __init__(self, level: str = "full"):
         if level not in TRACE_LEVELS:
@@ -226,7 +177,6 @@ class Trace:
         self._rank = TRACE_LEVELS.index(level)
         self._chunks: list = []  # shapes, values, shapes, values, ...
         self._open()
-        self.records = Records(self._chunks)
 
     def _open(self) -> None:
         """Freeze the open chunk, if any, and open the next one."""
@@ -242,6 +192,20 @@ class Trace:
                 self._open()
             self._shapes.append(shape)
             self._values.append(values)
+
+    def _pairs(self) -> list:
+        """(shapes, flat values) of each chunk; the open one is flattened."""
+        chunks = self._chunks
+        pairs = list(zip(chunks[:-2:2], chunks[1:-2:2]))
+        pairs.append((chunks[-2], tuple(chain.from_iterable(chunks[-1]))))
+        return pairs
+
+    def __len__(self) -> int:
+        return sum(map(len, self._chunks[::2]))
+
+    def __iter__(self):
+        for shapes, values in self._pairs():
+            yield from map(json.loads, _render(shapes, values).split("\n")[:-1])
 
 
 def emit_trace(report, sink) -> None:

@@ -156,7 +156,7 @@ class PerCycleSimulation(Simulation):
     original quiescence test (no stimulus left to apply; links, bus and
     baseline idle; no block that can still produce events)."""
 
-    def __init__(self, scenario, trace_level=None):
+    def __init__(self, scenario, trace_level="full"):
         super().__init__(scenario, trace_level)
         # Same state, reference behaviour: swap the classes in place.
         self.fabric.__class__ = _UnfilteredFabric
@@ -169,7 +169,7 @@ class PerCycleSimulation(Simulation):
         if ((not self._stimulus_cycles or self._stimulus_cycles[-1] <= t)
                 and all(link.idle for link in self.links)
                 and all(segment.in_flight is None and not segment.pending
-                        for segment in self.bus.segments)
+                        for segment in self.segments)
                 and (self.baseline is None or self.baseline.idle)
                 and not any(_active(b) for b in self.blocks)):
             return None

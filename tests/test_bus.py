@@ -21,18 +21,14 @@ def make_segment(n_masters=8, transfer_cycles=2, words=64, trace=None):
 
 
 def traced_segment(n_masters=8):
-    """A segment on a `full` trace, plus the (cycle, master) of every
-    grant in that trace, in grant order."""
+    """A segment on a `full` trace, and that trace."""
     trace = Trace("full")
-    grants = []
+    return make_segment(n_masters, trace=trace.emit), trace
 
-    def record(*row):
-        trace.emit(*row)
-        last = trace.records[-1]
-        if last["event"] == "grant":
-            grants.append((last["t"], last["master"]))
 
-    return make_segment(n_masters, trace=record), grants
+def grants_in(trace):
+    """The (cycle, master) of every grant in the trace, in grant order."""
+    return [(r["t"], r["master"]) for r in trace if r["event"] == "grant"]
 
 
 # --------------------------------------------------------------- arbitrate --
@@ -63,11 +59,19 @@ def test_arbitrate_skips_non_requesters():
 
 # ------------------------------------------------------------- transactions --
 
+def step_done(seg, t):
+    """Step the segment; the transaction it completed at t, or None."""
+    txn = seg.in_flight
+    seg.step(t)
+    return txn if txn is not None and txn.done else None
+
+
 def run_segment(seg, cycles, repost=None):
     """Step the segment, reposting per master via `repost(master, t)`."""
     completed = []
     for t in range(cycles):
-        for txn in seg.step(t):
+        txn = step_done(seg, t)
+        if txn is not None:
             completed.append(txn)
             if repost:
                 repost(txn.master_id, t)
@@ -80,8 +84,7 @@ def test_uncontended_read_timing():
     seg.post(txn, 2)
     for t in range(2, 6):
         seg.step(t)
-    assert txn.grant_cycle == 2
-    assert txn.complete_cycle == 4
+    assert txn.complete_cycle == 4  # granted at 2, T = 2
     assert txn.done
 
 
@@ -156,13 +159,13 @@ def test_grant_persists_for_whole_transaction():
     for t in range(1, 12):
         seg.step(t)
     assert a.complete_cycle == 5
-    assert b.grant_cycle == 5 and b.complete_cycle == 10
+    assert b.complete_cycle == 10  # granted at 5, when a completed
 
 
 def test_saturated_round_robin_window():
     """8 masters always requesting 2-cycle transfers: one grant each per
     16-cycle window, verified by direct simulation."""
-    seg, grants = traced_segment(n_masters=8)
+    seg, trace = traced_segment(n_masters=8)
 
     def repost(master, t):
         seg.post(BusTransaction(master, TxnKind.READ, 0x4000_0000), t)
@@ -171,6 +174,7 @@ def test_saturated_round_robin_window():
         repost(m, 0)
     run_segment(seg, 2000, repost)
 
+    grants = grants_in(trace)
     assert seg.grants == len(grants) > 900
     # steady state: skip the first full rotation
     steady = [g for g in grants if g[0] >= 16]
@@ -187,7 +191,7 @@ def test_saturated_round_robin_window():
 
 
 def test_serialization_no_overlap():
-    seg, grants = traced_segment(n_masters=4)
+    seg, trace = traced_segment(n_masters=4)
     rng = random.Random(11)
     outstanding = set()
 
@@ -196,9 +200,11 @@ def test_serialization_no_overlap():
             if m not in outstanding and rng.random() < 0.4:
                 seg.post(BusTransaction(m, TxnKind.READ, 0x4000_0000), t)
                 outstanding.add(m)
-        for txn in seg.step(t):
+        txn = step_done(seg, t)
+        if txn is not None:
             outstanding.discard(txn.master_id)
 
+    grants = grants_in(trace)
     assert seg.grants == len(grants) > 0
     for (t1, _), (t2, _) in zip(grants, grants[1:]):
         assert t2 - t1 >= 2  # a 2-cycle transfer blocks the next grant

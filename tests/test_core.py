@@ -35,14 +35,13 @@ class Bench:
 
     def __init__(self, program, scm_lines=8, config=None, fifo_depth=4,
                  n_outputs=32, loopback=None, transfer=2, block=None):
-        self.fabric = EventFabric(32, n_outputs, loopback)
-        self.seg = BusSegment(0, 1, transfer)
+        self.fabric = EventFabric(32, n_outputs, loopback or {})
+        self.seg = BusSegment(0, 1, transfer, None)
         self.block = block if block is not None else Regs("r0", 0x4000_0000, 64)
         self.seg.attach(self.block)
-        self.trace = Trace("full")
-        self.records = self.trace.records  # the link's records, as dicts
+        self.trace = Trace("full")  # the link's records
         self.link = Link(0, config or cfg(), scm_lines, fifo_depth,
-                         trace=self.trace.emit)
+                         self.trace.emit)
         self.link.load_program(Program(tuple(program)))
         self.t = 0
         self.performed = []
@@ -119,12 +118,13 @@ def test_jump_if_examples():
     assert execute_jump_if(0x20, Condition.LTU, 0x40)
     assert not execute_jump_if(0x40, Condition.LTU, 0x40)
     assert execute_jump_if(0xFFFF_FFFF, Condition.GEU, 0x1)  # unsigned, no sign trap
+    assert execute_jump_if(0x40, Condition.GEU, 0x40)
     assert execute_jump_if(5, Condition.EQ, 5)
     assert execute_jump_if(5, Condition.NE, 6)
 
 
 def test_drive_group_set_levels():
-    fab = EventFabric(32, 32)
+    fab = EventFabric(32, 32, {})
     fab.drive_group(0, ActionMode.SET_LEVELS, 0b0011)
     assert fab.outputs == 0b0011
     fab.drive_group(0, ActionMode.SET_LEVELS, 0b0100)  # level write replaces
@@ -132,20 +132,20 @@ def test_drive_group_set_levels():
 
 
 def test_drive_group_toggle():
-    fab = EventFabric(32, 32)
+    fab = EventFabric(32, 32, {})
     fab.drive_group(0, ActionMode.SET_LEVELS, 0b0011)
     fab.drive_group(0, ActionMode.TOGGLE, 0b0010)
     assert fab.outputs == 0b0001
 
 
 def test_drive_group_out_of_range():
-    fab = EventFabric(32, 32)
+    fab = EventFabric(32, 32, {})
     with pytest.raises(GroupOutOfRange):
         fab.drive_group(1, ActionMode.SET_LEVELS, 1)
 
 
 def test_drive_second_group():
-    fab = EventFabric(32, 64)
+    fab = EventFabric(32, 64, {})
     fab.drive_group(1, ActionMode.SET_LEVELS, 0b1)
     assert fab.outputs == 1 << 32
 
@@ -157,7 +157,7 @@ def test_instant_action_cycle_schedule():
     b.run(5, stim_fn=lambda t: 1)
     assert b.performed[:4] == [FsmState.IDLE, FsmState.FETCH,
                                FsmState.EXEC_ACTION, FsmState.FETCH]
-    acts = [r for r in b.records if r["kind"] == "action"]
+    acts = [r for r in b.trace if r["kind"] == "action"]
     assert acts[0]["t"] == 2
     assert b.link.latency_samples == [2]
 
@@ -202,7 +202,7 @@ def test_wait_zero_is_single_cycle():
     b = Bench([Command.wait(0), Command.action(ActionMode.SET_LEVELS, 0, 1)])
     b.run(6, stim_fn=lambda t: 1)
     assert FsmState.WAIT_COUNT not in b.performed
-    acts = [r for r in b.records if r["kind"] == "action"]
+    acts = [r for r in b.trace if r["kind"] == "action"]
     assert acts[0]["t"] == 3  # one fetch cycle for wait, then fetch+exec
 
 
@@ -248,7 +248,7 @@ def test_loop_runs_body_count_plus_one_times():
     for k in (0, 1, 5):
         b = Bench([Command.action(ActionMode.TOGGLE, 0, 1), Command.loop(k, 0)])
         b.run(6 * (k + 2), stim_fn=lambda t: 1)
-        acts = [r for r in b.records if r["kind"] == "action"]
+        acts = [r for r in b.trace if r["kind"] == "action"]
         assert len(acts) == k + 1
         assert b.link.stats.commands_executed == 2 * (k + 1)
         assert b.link.state is FsmState.IDLE
@@ -261,7 +261,7 @@ def test_sequential_loops_rearm():
     ]
     b = Bench(prog)
     b.run(60, stim_fn=lambda t: 1)
-    acts = [r for r in b.records if r["kind"] == "action"]
+    acts = [r for r in b.trace if r["kind"] == "action"]
     assert len(acts) == 3 + 2
 
 
@@ -286,9 +286,9 @@ def test_fifo_drop_newest_and_conservation():
     assert s.trigger_events == 8
     assert s.triggers_accepted + s.triggers_dropped == 8
     assert s.triggers_dropped == 8 - 3  # running + 2 queued
-    dropped = [r for r in b.records if r["kind"] == "trigger"
+    dropped = [r for r in b.trace if r["kind"] == "trigger"
                and r["status"] == "dropped"]
-    accepted = [r for r in b.records if r["kind"] == "trigger"
+    accepted = [r for r in b.trace if r["kind"] == "trigger"
                 and r["status"] == "accepted"]
     assert {r["token"] for r in dropped} & {r["token"] for r in accepted} == set()
 
@@ -313,7 +313,7 @@ def test_disabled_link_is_isolated():
 def test_no_trigger_rises_unless_a_masked_line_rose(mode):
     # Exhaustive over 4 lines: the rise prefilter in Link.step and the
     # harness's baseline check skip only calls that would return False.
-    fab = EventFabric(4, 4)
+    fab = EventFabric(4, 4, {})
     configs = [cfg(mask=mask, mode=mode) for mask in range(16)]
     for prev in range(16):
         for inputs in range(16):
@@ -394,8 +394,7 @@ def test_error_flag_is_sticky():
 # ------------------------------------------------------------ program load --
 
 def test_load_capacity_exceeded():
-    fab = EventFabric(32, 32)
-    link = Link(0, cfg(), scm_lines=4)
+    link = Link(0, cfg(), 4, 4, None)
     prog = Program(tuple(Command.wait(i) for i in range(8)))
     with pytest.raises(CapacityExceeded):
         link.load_program(prog)

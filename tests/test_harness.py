@@ -18,7 +18,7 @@ from helpers import (
 )
 from pels import harness, isa
 from pels.asm import Program, disassemble, validate_program
-from pels.core import EventFabric, Link
+from pels.core import EventFabric, Link, LinkConfig, TriggerMode
 from pels.harness import (
     ConfigError,
     MismatchedStimulus,
@@ -30,10 +30,41 @@ from pels.harness import (
     sweep,
 )
 from pels.isa import ActionMode, Command, Condition, OpCode
+from pels.periph import BaselineCpuModel
 from pels.trace import SHAPES
 
 
 # ------------------------------------------------------------- validation --
+
+def test_load_fills_every_absent_value_with_its_one_default():
+    """The loader is the one statement of each scenario default: the model
+    classes default none of them. The baseline mask defaults to every
+    input line (`0xF` on 4 inputs)."""
+    raw = {"links": [{}], "baseline": {}, "fabric": {"inputs": 4}}
+    digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
+    assert load_scenario(raw) == harness.Scenario(
+        clock_limit=10_000,
+        fabric_inputs=4,
+        fabric_outputs=32,
+        loopback={},
+        bus_segments=1,
+        transfer_cycles=2,
+        links=[harness.LinkSpec(
+            scm_lines=8,
+            config=LinkConfig(event_mask=0, trigger_mode=TriggerMode.ANY_SELECTED_ACTIVE,
+                              base_address=0, enabled=True),
+            fifo_depth=4,
+            segment=0,
+            program=Program(()),
+        )],
+        peripherals=[],
+        baseline=BaselineCpuModel(event_mask=0xF, interrupt_entry_cycles=10,
+                                  handler_cycles=6, memory_fetches_per_handler=16,
+                                  peripheral_txns_per_event=2),
+        stimuli=[],
+        source_digest=digest,
+    )
+
 
 def test_load_rejects_bad_mask():
     sc = instant_scenario()
@@ -283,7 +314,7 @@ def test_empty_scenario_trace_is_header_and_quiescence():
     report = run({"clock_limit": 20})
     kinds = [r["kind"] for r in report.trace]
     assert kinds == ["header", "end"]
-    assert report.trace[-1]["reason"] == "quiescent"
+    assert list(report.trace)[-1]["reason"] == "quiescent"
 
 
 def test_trace_determinism_digest():
@@ -296,6 +327,38 @@ def test_trace_determinism_digest():
     assert digest() == digest()
 
 
+# SHA-256 of the `full` trace (emit_trace) and of `to_json()` for each
+# shipped scenario.
+_GOLDEN = [
+    ("contention8.json",
+     "e3a2d2022ea94d5aee724cc589053bd31521a350910ea984bf8a865f04d9fae3",
+     "8af4929605bb227a103e119197357999b7ffeb123790936223d318d7f0df44b4"),
+    ("instant.json",
+     "d0c20fcc116b1cdbf1bb0db91926d5a94401499764f42d97cc64040980f173d5",
+     "cef3864738bbe2308720d6b360e9eb97ceebb320cfe9c8767dd71fd52ebd1fd2"),
+    ("sequenced.json",
+     "f2c0de7468c710d7fd37be7eac9dd70e431177b080f6cacd3dc51972b9146d78",
+     "18cdff111885fece810d6bd8d1513de3de7e90066006792918f0cfd3152cc5f5"),
+    ("threshold.json",
+     "0b1484e05d1db58ab4e8c9f71eabb80ea9c3aceb8d5fe3df6cc57d6f0c9dd60f",
+     "c095c2a6eb7772ed74f04f0a7c2f419cd74256c86e1fbde359c2bf03c6ac3e46"),
+    ("threshold_baseline.json",
+     "9081b59ac5b3228a1cde180be16a5f197a543a17173ba9e5ebbd86fc40418174",
+     "ae0a3a613c6778b41b0ff5c6f8aeb9b8b4eb7e47b8120789d40d2868c9c85dd4"),
+]
+
+
+@pytest.mark.parametrize("name, trace_sha, report_sha", _GOLDEN)
+def test_shipped_scenarios_keep_their_pinned_trace_and_report(name, trace_sha,
+                                                              report_sha):
+    """Reports and `full` traces are byte-identical across changes that
+    keep behaviour. A change that alters a report or trace on purpose
+    updates the pin here and gives the reason in CHANGES.md."""
+    report = run(SCENARIO_DIR / name, trace_level="full")
+    assert hashlib.sha256(_jsonl(report).encode()).hexdigest() == trace_sha
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_sha
+
+
 def test_trace_levels(tmp_path):
     full = run(instant_scenario(), trace_level="full")
     grants = run(sequenced_scenario(), trace_level="grants")
@@ -303,12 +366,6 @@ def test_trace_levels(tmp_path):
     assert any(r["kind"] == "link" for r in full.trace)
     assert all(r["kind"] in ("header", "bus", "error", "end") for r in grants.trace)
     assert [r["kind"] for r in off.trace] == ["header", "end"]
-
-
-def test_trace_level_env_override(monkeypatch):
-    monkeypatch.setenv("PELS_TRACE_LEVEL", "off")
-    report = run(instant_scenario())
-    assert [r["kind"] for r in report.trace] == ["header", "end"]
 
 
 def test_trace_file_output(tmp_path):
@@ -391,7 +448,7 @@ def test_stimulus_digest_covers_a_triggered_sensors_trigger_line():
     with pytest.raises(MismatchedStimulus):
         compare(on, off)
     # an untriggered sensor never reads its trigger line
-    untriggered = [load_scenario(_sensor(trigger_line=line)).stimulus_digest()
+    untriggered = [run(_sensor(trigger_line=line)).stimulus_digest
                    for line in (0, 1)]
     assert untriggered[0] == untriggered[1]
 
@@ -405,6 +462,24 @@ def test_stimulus_digest_ignores_the_order_a_schedule_is_written_in():
     assert reports[0].stimulus_digest == reports[1].stimulus_digest
     assert reports[0].baseline == reports[1].baseline
     assert compare(*reports)["latency"]["ratio"] == 1.0
+
+
+def _settings(stimuli: list) -> dict:
+    return {"clock_limit": 20, "baseline": {"event_mask": "0x1"}, "stimuli": stimuli}
+
+
+def test_stimulus_digest_keeps_the_last_setting_of_a_line_in_a_cycle():
+    """Settings of one line in one cycle apply in scenario order, so the
+    last wins: the digest covers the level each (cycle, line) is left at."""
+    low_last, high_last = (run(_settings(stimuli)) for stimuli in
+                           ([[5, 0, 1], [5, 0, 0]], [[5, 0, 0], [5, 0, 1]]))
+    assert (low_last.baseline["events"], high_last.baseline["events"]) == (0, 1)
+    assert low_last.stimulus_digest != high_last.stimulus_digest
+    with pytest.raises(MismatchedStimulus):
+        compare(high_last, low_last)
+    overridden = run(_settings([[5, 0, 1]]))
+    assert overridden.baseline == high_last.baseline
+    assert overridden.stimulus_digest == high_last.stimulus_digest
 
 
 def test_compare_wall_clock_annotation():
@@ -813,12 +888,11 @@ def test_trace_view_walks_the_records_that_emit_trace_writes(raw, level):
     the lines."""
     report = Simulation(load_scenario(raw), level).run()
     lines = [json.loads(line) for line in _jsonl(report).splitlines()]
+    records = list(report.trace)
     assert len(report.trace) == len(lines)
-    assert list(report.trace) == lines
-    assert report.trace[-1] == lines[-1] and lines[-1]["kind"] == "end"
-    assert report.trace[0] == report.trace[-len(lines)] == lines[0]
-    with pytest.raises(IndexError):
-        report.trace[len(lines)]
+    assert records == lines
+    assert records[-1] == lines[-1] and lines[-1]["kind"] == "end"
+    assert records[0] == lines[0]
 
 
 def test_a_full_trace_keeps_no_object_per_record():
@@ -845,17 +919,17 @@ def test_a_full_trace_keeps_no_object_per_record():
 
 def test_stimulus_digest_is_computed_once_per_run(monkeypatch):
     calls = []
-    digest = harness.Scenario.stimulus_digest
+    digest = harness._stimulus_digest
 
-    def counted(scenario):
-        calls.append(scenario)
-        return digest(scenario)
+    def counted(*args):
+        calls.append(args)
+        return digest(*args)
 
-    monkeypatch.setattr(harness.Scenario, "stimulus_digest", counted)
+    monkeypatch.setattr(harness, "_stimulus_digest", counted)
     report = run(load_scenario(SCENARIO_DIR / "threshold.json"), "full")
     assert len(calls) == 1
-    assert report.trace[0]["stimulus_digest"] == report.stimulus_digest
-    assert report.stimulus_digest == digest(calls[0])
+    assert list(report.trace)[0]["stimulus_digest"] == report.stimulus_digest
+    assert report.stimulus_digest == digest(*calls[0])
 
 
 def _check_bus_and_latency(report, scenario):
@@ -900,6 +974,6 @@ def test_idle_cycles_are_skipped_and_link_records_written_on_change():
     assert len(link_records) < sim.simulated
     pairs = [(r["fsm"], r["pc"]) for r in link_records]
     assert all(a != b for a, b in zip(pairs, pairs[1:]))
-    assert report.trace[0]["version"] == harness.TRACE_FORMAT_VERSION == 2
+    assert list(report.trace)[0]["version"] == harness.TRACE_FORMAT_VERSION == 2
     reference = PerCycleSimulation(scenario, "full").run()
     assert _jsonl(report) == _jsonl(reference)

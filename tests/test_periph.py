@@ -243,7 +243,7 @@ def test_sensor_latch_matches_linear_scan(schedule, times):
 # --------------------------------------------------------------- baseline --
 
 def test_baseline_default_latency_is_16():
-    cpu = BaselineCpu(BaselineCpuModel())
+    cpu = BaselineCpu(BaselineCpuModel(0x1))
     completion = cpu.handle_event(3)
     assert completion == 19
     for t in range(4, 20):
@@ -254,14 +254,15 @@ def test_baseline_default_latency_is_16():
 
 
 def test_baseline_degenerate_zero_latency():
-    cpu = BaselineCpu(BaselineCpuModel(interrupt_entry_cycles=0, handler_cycles=0))
+    cpu = BaselineCpu(BaselineCpuModel(0x1, interrupt_entry_cycles=0,
+                                       handler_cycles=0))
     assert cpu.handle_event(7) == 7
     cpu.step(7)
     assert cpu.latency_samples == [0]
 
 
 def test_baseline_latency_has_no_jitter():
-    cpu = BaselineCpu(BaselineCpuModel())
+    cpu = BaselineCpu(BaselineCpuModel(0x1))
     for event in (0, 30, 61, 95):
         cpu.handle_event(event)
     for t in range(0, 130):
@@ -271,7 +272,7 @@ def test_baseline_latency_has_no_jitter():
 
 
 def test_baseline_activity_scales_with_events():
-    cpu = BaselineCpu(BaselineCpuModel(memory_fetches_per_handler=16,
+    cpu = BaselineCpu(BaselineCpuModel(0x1, memory_fetches_per_handler=16,
                                        peripheral_txns_per_event=2))
     for event in (0, 40):
         cpu.handle_event(event)

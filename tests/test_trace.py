@@ -71,7 +71,7 @@ def test_each_level_keeps_exactly_the_shapes_of_its_rank(level, kinds):
     kept = Trace(level)
     for shape in SHAPES:
         kept.emit(shape, *([0] * len(shape.fields)))
-    assert [r["kind"] for r in kept.records] == [
+    assert [r["kind"] for r in kept] == [
         s.kind for s in SHAPES if s.rank <= rank]
 
 
@@ -81,21 +81,22 @@ def test_records_are_a_read_only_sequence_of_dicts():
                     "program": {"source": "action grp0.set, 0x1"}}],
          "stimuli": [[0, 0, 1]]}), "full")
     records = report.trace
-    assert records[0]["kind"] == "header" and records[-1]["kind"] == "end"
-    assert list(records) == [records[i] for i in range(len(records))]
+    first = list(records)
+    assert len(first) == len(records)
+    assert first[0]["kind"] == "header" and first[-1]["kind"] == "end"
     assert {"kind": "action", "t": 2, "link": 0, "group": 0, "mode": "SET_LEVELS",
             "out": "0x1"} in records
     with pytest.raises(AttributeError):
         records.append({})
-    records[0]["kind"] = "changed"  # each access builds a fresh dict
-    assert records[0]["kind"] == "header"
+    first[0]["kind"] = "changed"  # each iteration builds fresh dicts
+    assert next(iter(records))["kind"] == "header"
 
 
 def test_unknown_level_is_a_config_error():
     with pytest.raises(ValueError, match="unknown level"):
         Trace("verbose")
     with pytest.raises(harness.ConfigError, match="trace_level"):
-        harness.Simulation(harness.Scenario(), "verbose")
+        harness.Simulation(harness.load_scenario({}), "verbose")
 
 
 def _records(shapes):
@@ -106,7 +107,7 @@ def _records(shapes):
 
 def _rendered(kept: Trace) -> str:
     sink = io.StringIO()
-    emit_trace(SimpleNamespace(trace=kept.records), sink)
+    emit_trace(SimpleNamespace(trace=kept), sink)
     return sink.getvalue()
 
 
@@ -131,7 +132,7 @@ def test_chunk_render_equals_the_render_of_each_record(data, level, chunk):
             traced.emit(shape, *values)
     assert len(traced._chunks) >= 8  # 3 frozen chunks and the open one
     assert _rendered(traced) == "".join(shape.render(v) for shape, v in kept)
-    assert list(traced.records) == [json.loads(shape.render(v)) for shape, v in kept]
+    assert list(traced) == [json.loads(shape.render(v)) for shape, v in kept]
 
 
 def _several_chunks() -> tuple[Trace, list[dict]]:
@@ -148,27 +149,13 @@ def _several_chunks() -> tuple[Trace, list[dict]]:
     return kept, [json.loads(line) for line in _rendered(kept).splitlines()]
 
 
-def test_indexing_skips_whole_chunks_across_frozen_and_open_ones():
+def test_len_and_iteration_span_frozen_and_open_chunks():
     kept, lines = _several_chunks()
-    records, n = kept.records, len(lines)
     chunks = kept._chunks
     assert len(chunks) >= 8 and all(type(c) is tuple for c in chunks[:-2])
     assert type(chunks[-1]) is list and len(chunks[-2]) > 0  # the open chunk
-    assert len(records) == n == sum(len(shapes) for shapes in chunks[::2])
-    assert [records[i] for i in range(n)] == lines
-    assert [records[i] for i in range(-n, 0)] == lines
-    assert list(reversed(records)) == lines[::-1]
-    # the first and last record of every chunk, by both signs
-    first = 0
-    for shapes in chunks[::2]:
-        for i in (first, first + len(shapes) - 1):
-            assert records[i] == records[i - n] == lines[i]
-        first += len(shapes)
-    for bad in (n, -n - 1):
-        with pytest.raises(IndexError):
-            records[bad]
-    with pytest.raises(TypeError, match="indices must be integers"):
-        records[1:3]
+    assert len(kept) == len(lines) == sum(len(shapes) for shapes in chunks[::2])
+    assert list(kept) == lines
 
 
 def test_rendering_a_long_trace_borrows_one_chunk_of_memory():
