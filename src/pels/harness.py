@@ -56,7 +56,7 @@ the scenario.
 Idle cycles are skipped (next-event time advance). After a cycle in
 which no link did any work, every FIFO is empty, the bus is idle and the
 fabric is steady (no pulse, edge detector caught up), nothing can change
-until the next stimulus, the next peripheral event (`next_event`) or the
+until the next stimulus, the next peripheral due cycle (`due`) or the
 baseline's next completion, so the clock jumps straight to the earliest
 of them. When there is none, the run ends `quiescent` after the first
 cycle in which links and bus are idle; otherwise it ends at
@@ -68,7 +68,9 @@ link's (fsm, pc) changes.
 A simulated cycle runs only the stage work that can act in it; none of
 these rules can change a report or a trace:
 - Peripherals: only blocks with a `tick` of their own (Timer, Sensor)
-  are ticked; `RegisterBlock.tick` does nothing.
+  are ticked, and each only in its `due` cycle, the next one in which a
+  tick can pulse or change what a read returns; `RegisterBlock.tick`
+  does nothing.
 - Fabric: `settle` scans the loopback only while an output is high. A
   trigger predicate (a link's or the baseline's) is evaluated only when
   a line of its mask rose (`EventFabric.rose`); else it cannot newly hold.
@@ -77,7 +79,14 @@ these rules can change a report or a trace:
   the links), return their state without entering the FSM. A fetch takes
   the loaded `Command`, whose encoding is the SCM word, so nothing is
   decoded.
-- Bus: only segments with a transfer in flight or pending are stepped.
+- Bus: a segment is stepped only in the cycle its transfer completes,
+  or while it is free with a request pending; `BusSegment.step` does
+  nothing in any other cycle, as it grants only with no transfer in
+  flight.
+
+After the bus stage, a segment or link with work left makes the next
+cycle t + 1; only when none has does `_next_cycle` choose between a
+jump and quiescence.
 
 Within a run, link i is bus master i. The baseline is an accounting
 model: it holds no master id and does not contend on the simulated bus;
@@ -544,26 +553,19 @@ class Simulation:
         ]
 
     def _next_cycle(self, t: int, quiet: bool) -> Optional[int]:
-        """The cycle to simulate after cycle t, or None when the run is
-        quiescent. `quiet` is True when no link did any work in cycle t;
-        then no output changed either, so loopback holds."""
-        # A segment or link with work left steps again in t + 1.
-        for segment in self.segments:
-            if segment.in_flight is not None or segment.pending:
-                return t + 1
-        idle = FsmState.IDLE
-        for link in self.links:
-            if link.state is not idle or link.fifo:
-                return t + 1
+        """After a cycle t that left every segment and link idle: the cycle
+        to simulate next, or None when the run is quiescent. `quiet` is
+        True when no link did any work in cycle t; then no output changed
+        either, so loopback holds."""
         stimulus_cycles = self._stimulus_cycles
         pending = self.baseline.pending if self.baseline else ()
         # A link that did work may still write its idle `link` record, and
         # an unsteady fabric may still raise a trigger, in cycle t + 1.
         if not (quiet and self.fabric.steady):  # no jump: is anything due?
             due = (pending or (stimulus_cycles and stimulus_cycles[-1] > t)
-                   or any(b.next_event(t) is not None for b in self._ticking))
+                   or any(b.due is not None for b in self._ticking))
             return t + 1 if due else None
-        due = [c for c in (b.next_event(t) for b in self._ticking) if c is not None]
+        due = [b.due for b in self._ticking if b.due is not None]
         i = bisect_right(stimulus_cycles, t)
         due += stimulus_cycles[i:i + 1]
         if pending:  # completions come in order: the first is the earliest
@@ -580,9 +582,10 @@ class Simulation:
         # Entry points are bound once per run, not looked up every cycle.
         settle, next_cycle = fabric.settle, self._next_cycle
         stimuli_at = self._stimuli_by_cycle.get
-        ticks = [block.tick for block in self._ticking]
+        ticks = [(block, block.tick) for block in self._ticking]
+        triggered_sensors = self._triggered_sensors
         steps = [(link, link.step, segment) for link, segment in self._link_segments]
-        segments = self.segments
+        links, segments = self.links, self.segments
         idle, fsm_names = FsmState.IDLE, FSM_STATE_NAMES
         stimulus_digest = _stimulus_digest(sc.stimuli, self.blocks)
         emit(HEADER, TRACE_FORMAT_VERSION, sc.source_digest, stimulus_digest,
@@ -603,11 +606,12 @@ class Simulation:
                     emit(STIMULUS, t, line, level)
 
             pulses = 0
-            for tick in ticks:
-                pulses |= tick(t)
+            for block, tick in ticks:
+                if block.due == t:
+                    pulses |= tick(t)
             settle(stim_levels, pulses)
 
-            for entry in self._triggered_sensors:
+            for entry in triggered_sensors:
                 sensor, line, last = entry
                 level = (fabric.inputs >> line) & 1
                 if level and not last:
@@ -639,16 +643,28 @@ class Simulation:
                          or fabric.outputs != last_outputs):
                 last_inputs, last_outputs = fabric.inputs, fabric.outputs
                 emit(FABRIC, t, last_inputs, last_outputs)
-            for segment in segments:
-                if segment.in_flight is not None or segment.pending:  # not idle
+            for segment in segments:  # at a transfer's completion, or to grant
+                txn = segment.in_flight
+                if (segment.pending if txn is None else txn.complete_cycle == t):
                     segment.step(t)
 
-            next_t = next_cycle(t, quiet)
-            if next_t is None:
-                end_reason = "quiescent"
-                cycles = t + 1
-                break
-            t = next_t
+            # Work left in a segment or link: simulate t + 1, no jump.
+            for segment in segments:
+                if segment.in_flight is not None or segment.pending:
+                    break
+            else:
+                for link in links:
+                    if link.state is not idle or link.fifo:
+                        break
+                else:
+                    next_t = next_cycle(t, quiet)
+                    if next_t is None:
+                        end_reason = "quiescent"
+                        cycles = t + 1
+                        break
+                    t = next_t
+                    continue
+            t += 1
 
         emit(END, cycles - 1, end_reason)
         return self._report(cycles, end_reason, stimulus_digest)

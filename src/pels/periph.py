@@ -40,7 +40,17 @@ from typing import Optional
 
 
 class RegisterBlock:
-    """Base class: a disjoint range of word-addressed 32-bit registers."""
+    """Base class: a disjoint range of word-addressed 32-bit registers.
+
+    `due` is the cycle of the block's next `tick` that can pulse or change
+    what a read returns, or None when no tick can until a register is
+    written; ticks before it need not run. A block keeps it current
+    after each tick, write and latch, and always sets it later than the
+    cycle that sets it. The clock never jumps past the smallest `due`,
+    so a block is never due at a cycle before the current one.
+    """
+
+    due: Optional[int] = None
 
     def __init__(self, name: str, base_address: int, size_words: int):
         self.name = name
@@ -56,12 +66,6 @@ class RegisterBlock:
     def tick(self, t: int) -> int:
         """Advance to cycle t; returns a bitmask of event lines pulsing at t."""
         return 0
-
-    def next_event(self, t: int) -> Optional[int]:
-        """After the tick of cycle t: the first later cycle at which the
-        block can act on its own, or None when it never will unless a
-        register is written. Cycles before it need not be ticked."""
-        return None
 
 
 class Regs(RegisterBlock):
@@ -112,6 +116,7 @@ class Timer(RegisterBlock):
         self.count = 0  # as of the tick of cycle _synced
         self._armed = False
         self._synced = -1
+        self.due = 0
 
     def _advance(self, t: int) -> bool:
         """Apply the ticks of the cycles after _synced up to t; True when
@@ -148,13 +153,17 @@ class Timer(RegisterBlock):
             self.enabled = enable
         elif offset == self.PERIOD:
             self.period = value
+        self.due = self._due(t)
 
     def tick(self, t: int) -> int:
-        if self._advance(t) and self.event_line is not None:
+        wrapped = self._advance(t)
+        self.due = self._due(t)
+        if wrapped and self.event_line is not None:
             return 1 << self.event_line
         return 0
 
-    def next_event(self, t: int) -> Optional[int]:
+    def _due(self, t: int) -> Optional[int]:
+        """The cycle of the next pulse, from the count as of cycle t."""
         if not self.enabled or self.period <= 0 or self.event_line is None:
             return None
         if not self._armed:
@@ -186,6 +195,7 @@ class Sensor(RegisterBlock):
         self.sample = 0
         self._next = 0  # index of the next schedule entry to land
         self._done_pulse = 0  # conversion-done, delivered by the next tick
+        self.due = 0
 
     def _scheduled_value(self, t: int) -> int:
         """Value of the last entry with cycle <= t (the current sample if none)."""
@@ -197,6 +207,7 @@ class Sensor(RegisterBlock):
         self.sample = self._scheduled_value(t) & 0xFFFF_FFFF
         if self.event_line is not None:
             self._done_pulse = 1 << self.event_line
+            self.due = t + 1
 
     def read(self, offset: int, t: int) -> int:
         return self.sample
@@ -208,18 +219,17 @@ class Sensor(RegisterBlock):
     def tick(self, t: int) -> int:
         pulses = self._done_pulse
         self._done_pulse = 0
-        if self.triggered:
-            return pulses
-        while self._next < len(self.schedule) and self.schedule[self._next][0] <= t:
-            self.sample = self.schedule[self._next][1] & 0xFFFF_FFFF
-            if self.event_line is not None:
-                pulses |= 1 << self.event_line
-            self._next += 1
+        if not self.triggered:
+            while self._next < len(self.schedule) and self.schedule[self._next][0] <= t:
+                self.sample = self.schedule[self._next][1] & 0xFFFF_FFFF
+                if self.event_line is not None:
+                    pulses |= 1 << self.event_line
+                self._next += 1
+        self.due = self._due()
         return pulses
 
-    def next_event(self, t: int) -> Optional[int]:
-        if self._done_pulse:
-            return t + 1
+    def _due(self) -> Optional[int]:
+        """The cycle of the next schedule landing; a triggered sensor has none."""
         if self.triggered or self._next == len(self.schedule):
             return None
         return self.schedule[self._next][0]

@@ -11,7 +11,7 @@ from pels import isa
 from pels.asm import Program, validate_program
 from pels.core import EventFabric, FsmState, Link
 from pels.harness import Simulation
-from pels.periph import Sensor, Timer
+from pels.periph import Gpio, Regs, Sensor, Timer
 from pels.isa import ActionMode, Command, Condition, OpCode
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -89,14 +89,37 @@ def sequenced_scenario(source: str = "set 0x0, 0x1", **overrides) -> dict:
 
 def _active(block) -> bool:
     """The original test of whether a block can still produce events on
-    its own; kept apart from `next_event` so the reference shares no code
-    with the kernel under test."""
+    its own; kept apart from `due` so the reference shares no code with
+    the kernel under test."""
     if isinstance(block, Timer):
         return block.enabled and block.period > 0 and block.event_line is not None
     if isinstance(block, Sensor):
         return bool(block._done_pulse) or (
             not block.triggered and block._next < len(block.schedule))
     return False
+
+
+class _EveryCycle:
+    """A block that is due again in the cycle after each tick, write and
+    latch, so the harness ticks it on every cycle and no due rule of its
+    own class decides when."""
+
+    def tick(self, t):
+        pulses = super().tick(t)
+        self.due = t + 1
+        return pulses
+
+    def write(self, offset, value, t):
+        super().write(offset, value, t)
+        self.due = t + 1
+
+    def latch(self, t):
+        super().latch(t)
+        self.due = t + 1
+
+
+_EVERY_CYCLE = {cls: type(cls.__name__, (_EveryCycle, cls), {})
+                for cls in (Regs, Gpio, Timer, Sensor)}
 
 
 class _ReferenceLink(Link):
@@ -151,10 +174,11 @@ class _UnfilteredFabric(EventFabric):
 
 
 class PerCycleSimulation(Simulation):
-    """Reference kernel: simulates every cycle, ticks every block, steps
-    `_ReferenceLink`s on an `_UnfilteredFabric`, and ends the run on the
-    original quiescence test (no stimulus left to apply; links, bus and
-    baseline idle; no block that can still produce events)."""
+    """Reference kernel: simulates every cycle, ticks every block on every
+    cycle, steps `_ReferenceLink`s on an `_UnfilteredFabric`, and ends the
+    run on the original quiescence test (no stimulus left to apply;
+    links, bus and baseline idle; no block that can still produce
+    events)."""
 
     def __init__(self, scenario, trace_level="full"):
         super().__init__(scenario, trace_level)
@@ -163,6 +187,9 @@ class PerCycleSimulation(Simulation):
         for link in self.links:
             link.__class__ = _ReferenceLink
             link.load_image()
+        for block in self.blocks:
+            block.__class__ = _EVERY_CYCLE[type(block)]
+            block.due = 0
         self._ticking = list(self.blocks)  # Regs and Gpio tick as no-ops
 
     def _next_cycle(self, t, quiet):

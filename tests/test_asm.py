@@ -245,6 +245,7 @@ DIAGNOSTICS = [
     ("wait 1\nloop 1, fwd\nfwd: wait 1", TargetOutOfRange, "target-range", 2),
     ("outer: wait 1\ninner: wait 2\n loop 3, inner\n loop 3, outer",
      NestedLoop, "nested-loop", 3),
+    ("top: loop 1, top\nloop 1, top", NestedLoop, "nested-loop", 1),
     ("wait 1\n" * 257, CapacityExceeded, "capacity", 0),
 ]
 

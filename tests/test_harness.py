@@ -793,6 +793,56 @@ def test_settled_runs_keep_the_bus_and_latency_invariants(raw):
         _check_bus_and_latency(fast, scenario)
 
 
+_RMW_OPCODES = (OpCode.SET, OpCode.CLEAR, OpCode.TOGGLE)
+
+
+@st.composite
+def _idle_rmw(draw) -> dict:
+    """One link whose program is one set/clear/toggle on a `regs` block,
+    with T = 1..3 and triggers spaced so that the link is idle at each."""
+    transfer = draw(st.integers(1, 3))
+    op = draw(st.sampled_from(["set", "clear", "toggle"]))
+    stimuli, cycle = [], draw(st.integers(0, 20))
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.integers(1, 3))
+        stimuli += [[cycle, 0, 1], [cycle + width, 0, 0]]
+        cycle += width + draw(st.integers(4 + 2 * transfer, 40))
+    return {
+        "clock_limit": cycle + 100,
+        "bus": {"segments": 1, "transfer_cycles": transfer},
+        "links": [{"scm_lines": 2, "event_mask": "0x1",
+                   "base_address": "0x40000000", "program": {"source":
+                       f"{op} {draw(st.integers(0, 3))}, {draw(_VALUES)}"}}],
+        "peripherals": [{"type": "regs", "name": "r0",
+                         "base_address": "0x40000000", "size_words": 4}],
+        "stimuli": stimuli,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=_idle_rmw())
+def test_rmw_on_an_idle_link_takes_three_cycles_plus_two_transfers(raw):
+    """The 7-cycle anchor at any transfer time T: fetch, read (T), modify,
+    write (T) and the effect's cycle give 3 + 2T per trigger."""
+    report = Simulation(load_scenario(raw), "off").run()
+    transfer = raw["bus"]["transfer_cycles"]
+    assert report.end_reason == "quiescent" and not report.errors
+    assert report.per_link[0]["latency"]["samples"] == (
+        [3 + 2 * transfer] * (len(raw["stimuli"]) // 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_scenarios(settle=True))
+def test_a_program_that_starts_with_an_rmw_takes_at_least_three_plus_two_transfers(
+        raw):
+    scenario = load_scenario(raw)
+    report = Simulation(scenario, "off").run()
+    floor = 3 + 2 * raw["bus"]["transfer_cycles"]
+    for entry, spec in zip(report.per_link, scenario.links):
+        if spec.program.commands and spec.program.commands[0].opcode in _RMW_OPCODES:
+            assert all(s >= floor for s in entry["latency"]["samples"])
+
+
 @st.composite
 def _contended(draw) -> dict:
     """2-8 links on one segment with transfer time T = 1..4, all started by
@@ -948,13 +998,20 @@ def _check_bus_and_latency(report, scenario):
 
 
 class _CountingSimulation(Simulation):
-    """Counts the cycles the kernel actually simulates."""
+    """Counts the cycles the kernel actually simulates: each one settles
+    the fabric once."""
 
     simulated = 0
 
-    def _next_cycle(self, t, quiet):
-        self.simulated += 1
-        return super()._next_cycle(t, quiet)
+    def __init__(self, scenario, trace_level="full"):
+        super().__init__(scenario, trace_level)
+        settle = self.fabric.settle
+
+        def counted(*args):
+            self.simulated += 1
+            return settle(*args)
+
+        self.fabric.settle = counted
 
 
 def test_idle_cycles_are_skipped_and_link_records_written_on_change():

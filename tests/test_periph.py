@@ -57,7 +57,7 @@ def test_timer_period_10_pulses():
 def test_timer_disabled_never_pulses():
     t = Timer("t", 0x4000_0000, period=10, enabled=False, event_line=0)
     assert run_timer(t, 50) == []
-    assert t.next_event(49) is None
+    assert t.due is None
 
 
 def test_timer_period_1_pulses_every_cycle():
@@ -82,7 +82,7 @@ def test_timer_registers():
 def test_timer_without_event_line_is_silent():
     t = Timer("t", 0x4000_0000, period=3, enabled=True, event_line=None)
     assert run_timer(t, 10) == []
-    assert t.next_event(9) is None
+    assert t.due is None
 
 
 class PerCycleTimer:
@@ -139,10 +139,11 @@ _HORIZON = 300
            st.tuples(st.sampled_from([Timer.CTRL, Timer.PERIOD]), st.integers(0, 40)),
            max_size=8),
        reads=st.sets(st.integers(0, _HORIZON - 1), max_size=8))
-def test_timer_ticked_at_next_event_matches_per_cycle_timer(period, enabled,
-                                                            event_line, writes, reads):
-    """Ticked only at its own next_event cycles and at the cycles a bus
-    access reaches it, the timer pulses and reads as if ticked every cycle."""
+def test_timer_ticked_at_due_matches_per_cycle_timer(period, enabled, event_line,
+                                                     writes, reads):
+    """Ticked only at its own `due` cycles, and visited at the cycles a
+    bus access reaches it, the timer pulses and reads as if ticked every
+    cycle."""
     ref = PerCycleTimer(period, enabled, event_line)
     expected_pulses, expected_reads = [], []
     for t in range(_HORIZON):
@@ -158,17 +159,16 @@ def test_timer_ticked_at_next_event_matches_per_cycle_timer(period, enabled,
     accesses = sorted(set(writes) | reads)
     t = 0
     while t < _HORIZON:
-        if timer.tick(t):
+        if timer.due == t and timer.tick(t):
             pulses.append(t)
         if t in writes:
             timer.write(*writes[t], t)
         if t in reads:
             got_reads.append([timer.read(r, t) for r in range(3)])
         due = [c for c in accesses if c > t][:1]
-        event = timer.next_event(t)
-        if event is not None:
-            assert event > t
-            due.append(event)
+        if timer.due is not None:
+            assert timer.due > t
+            due.append(timer.due)
         t = min(due, default=_HORIZON)
     assert pulses == expected_pulses
     assert got_reads == expected_reads
@@ -186,7 +186,7 @@ def test_sensor_schedule_lands_samples():
     assert seen[5] == (100, 1 << 2)       # lands and pulses at its cycle
     assert seen[8] == (100, 0)
     assert seen[9] == (200, 1 << 2)
-    assert s.next_event(11) is None
+    assert s.due is None
 
 
 def test_sensor_no_time_travel():
@@ -198,19 +198,22 @@ def test_sensor_no_time_travel():
     assert s.read(Sensor.SAMPLE, 10) == 77
 
 
-def test_sensor_next_event():
+def test_sensor_due():
     s = Sensor("s", 0x4000_0000, schedule=[(5, 1), (9, 2)], event_line=0)
-    assert s.next_event(0) == 5
+    assert s.due == 0  # cycle 0 ticks every block
+    s.tick(0)
+    assert s.due == 5
     s.tick(5)
-    assert s.next_event(5) == 9
+    assert s.due == 9
     s.tick(9)
-    assert s.next_event(9) is None
+    assert s.due is None
     adc = Sensor("a", 0x4000_0000, schedule=[(5, 1)], event_line=0, triggered=True)
-    assert adc.next_event(0) is None  # waits for a conversion start
+    adc.tick(0)
+    assert adc.due is None  # waits for a conversion start
     adc.latch(3)
-    assert adc.next_event(3) == 4  # the done pulse
+    assert adc.due == 4  # the done pulse
     assert adc.tick(4) == 1
-    assert adc.next_event(4) is None
+    assert adc.due is None
 
 
 def test_sensor_triggered_mode_latches_on_start():
@@ -221,6 +224,52 @@ def test_sensor_triggered_mode_latches_on_start():
     assert s.read(Sensor.SAMPLE, 40) == 0
     s.write(Sensor.START, 1, t=25)  # conversion start picks the current value
     assert s.read(Sensor.SAMPLE, 26) == 9
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule=st.lists(st.tuples(st.integers(0, _HORIZON), st.integers(0, 7)),
+                         max_size=10),
+       triggered=st.booleans(), event_line=st.none() | st.integers(0, 3),
+       starts=st.sets(st.integers(0, _HORIZON - 1), max_size=8),
+       latches=st.sets(st.integers(0, _HORIZON - 1), max_size=8),
+       reads=st.sets(st.integers(0, _HORIZON - 1), max_size=8))
+def test_sensor_ticked_at_due_matches_sensor_ticked_every_cycle(
+        schedule, triggered, event_line, starts, latches, reads):
+    """Ticked only at its own `due` cycles, and visited at the cycles a
+    START write, a trigger latch or a read reaches it, a sensor in either
+    mode pulses and reads as one ticked every cycle. Within a cycle the
+    harness ticks, then latches on a trigger, then lets the bus access."""
+
+    def access(sensor, t, got_reads):
+        if t in latches:
+            sensor.latch(t)
+        if t in starts:
+            sensor.write(Sensor.START, 1, t)
+        if t in reads:
+            got_reads.append(sensor.read(Sensor.SAMPLE, t))
+
+    ref = Sensor("r", 0x4000_0000, schedule, event_line, triggered)
+    expected_pulses, expected_reads = [], []
+    for t in range(_HORIZON):
+        if ref.tick(t):
+            expected_pulses.append(t)
+        access(ref, t, expected_reads)
+
+    sensor = Sensor("s", 0x4000_0000, schedule, event_line, triggered)
+    pulses, got_reads = [], []
+    accesses = sorted(starts | latches | reads)
+    t = 0
+    while t < _HORIZON:
+        if sensor.due == t and sensor.tick(t):
+            pulses.append(t)
+        access(sensor, t, got_reads)
+        due = [c for c in accesses if c > t][:1]
+        if sensor.due is not None:
+            assert sensor.due > t
+            due.append(sensor.due)
+        t = min(due, default=_HORIZON)
+    assert pulses == expected_pulses
+    assert got_reads == expected_reads
 
 
 @settings(max_examples=300, deadline=None)
