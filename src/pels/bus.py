@@ -41,7 +41,7 @@ class DecodeError(Exception):
         super().__init__(f"no peripheral claims address 0x{address:08x}")
 
 
-@dataclass
+@dataclass(slots=True)
 class BusTransaction:
     master_id: int
     kind: int  # a TxnKind code
@@ -142,7 +142,9 @@ class BusSegment:
                 txn.complete_cycle = t + self.transfer_cycles
                 self.in_flight = txn
                 wait = t - txn.issue_cycle
-                hist = self.grant_waits.setdefault(granted, {})
+                hist = self.grant_waits.get(granted)
+                if hist is None:  # the master's first grant
+                    hist = self.grant_waits[granted] = {}
                 hist[wait] = hist.get(wait, 0) + 1
                 self.grants += 1
                 if self.trace:

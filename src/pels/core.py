@@ -173,15 +173,19 @@ class EventFabric:
         return self.inputs == self._level_inputs == self._prev_level_inputs
 
     def rising_trigger(self, cfg: LinkConfig) -> bool:
-        """True when the trigger predicate newly holds this cycle.
+        """True when the trigger predicate newly holds this cycle: it holds
+        on `inputs` and did not on the edge detector's previous sample,
+        as `evaluate_trigger` would tell for each.
 
         Callers skip the call when `rose & cfg.event_mask` is 0, since it
         is then False (see `settle`); `Link.step` and the harness's
         baseline check both do.
         """
-        return evaluate_trigger(self.inputs, cfg) and not evaluate_trigger(
-            self._prev_level_inputs, cfg
-        )
+        mask = cfg.event_mask
+        now, before = self.inputs & mask, self._prev_level_inputs & mask
+        if cfg.trigger_mode == TriggerMode.ALL_SELECTED_ACTIVE:
+            return now == mask != before  # an empty mask: now == before
+        return before == 0 != now
 
     def drive_group(self, group: int, mode: int, bits: int) -> None:
         """Drive one output group; `mode` is an `ActionMode` code."""
@@ -196,7 +200,7 @@ class EventFabric:
             self.outputs ^= (bits << shift) & group_mask
 
 
-@dataclass
+@dataclass(slots=True)
 class TriggerToken:
     seq: int
     cycle: int  # cycle the trigger predicate rose
@@ -216,13 +220,16 @@ class Link:
     """One linking unit: trigger FIFO, private SCM, execution-unit FSM.
 
     `step` runs once per simulated cycle and does only the work that can
-    change state in it. An idle link with an empty FIFO, and a link
-    parked on the bus (its transaction posted and not yet complete),
-    return their state without entering the FSM, which would only find
-    no token or the transfer unfinished. The trigger predicate is
-    checked only when a line of `event_mask` rose (`EventFabric.rose`).
-    A fetch takes its command from the loaded `Program`, whose encoding
-    is the SCM word image, so nothing is encoded or decoded.
+    change state in it. A link parked on the bus (its transaction posted
+    and not yet complete), tested first as the common case under
+    contention, and an idle link with an empty FIFO return their state
+    without entering the FSM, which would only find the transfer
+    unfinished or no token. The trigger predicate is checked only when a
+    line of the link's trigger mask rose (`EventFabric.rose`). The mask
+    is `event_mask`, or 0 for a disabled link, so a disabled link never
+    triggers and stays idle. A fetch takes its command from the loaded
+    `Program`, whose encoding is the SCM word image, so nothing is
+    decoded; each command's bus address is computed once, at load.
     """
 
     def __init__(
@@ -235,8 +242,10 @@ class Link:
     ):
         self.link_id = link_id
         self.config = config
+        self._trigger_mask = config.event_mask if config.enabled else 0
         self.scm_lines = scm_lines  # SCM capacity in lines
         self._commands: tuple[Command, ...] = ()  # the loaded program
+        self._addresses: list[int] = []  # each command's bus address
         self.fifo: deque[TriggerToken] = deque()
         self.fifo_depth = fifo_depth
         self.trace = trace
@@ -264,39 +273,40 @@ class Link:
             raise LinkBusy(f"link {self.link_id} is {FSM_STATE_NAMES[self.state]}")
         validate_against_capacity(prog, self.scm_lines)
         self._commands = prog.commands
+        base = self.config.base_address
+        self._addresses = [base + 4 * cmd.field for cmd in prog.commands]
         self.pc = 0
 
     # -- one global clock cycle -------------------------------------------
 
     def step(self, t: int, fabric: EventFabric, segment: BusSegment) -> int:
         """Advance one cycle; returns the state whose work ran this cycle."""
-        config = self.config
-        if not config.enabled:
-            return FsmState.IDLE
-        state, txn = self.state, self.txn
-        if ((state is FsmState.IDLE and not self.fifo)
-                or (txn is not None and not txn.done)):
-            performed = state  # nothing to start, or parked on the bus
+        txn = self.txn
+        if txn is not None and not txn.done:
+            performed = self.state  # parked on the bus
+        elif self.state is FsmState.IDLE and not self.fifo:
+            performed = FsmState.IDLE  # nothing to start
         else:
             performed = self._fsm_advance(t, fabric, segment)
-        if fabric.rose & config.event_mask:
+        if fabric.rose & self._trigger_mask:
             self._detect_trigger(t, fabric)
         return performed
 
     def _detect_trigger(self, t: int, fabric: EventFabric) -> None:
         if not fabric.rising_trigger(self.config):
             return
-        token = TriggerToken(self.stats.trigger_events, t)  # seq: events before it
-        self.stats.trigger_events += 1
-        if len(self.fifo) < self.fifo_depth:
-            self.fifo.append(token)
-            self.stats.triggers_accepted += 1
+        stats, fifo = self.stats, self.fifo
+        seq = stats.trigger_events  # a token's seq: the events before it
+        stats.trigger_events = seq + 1
+        if len(fifo) < self.fifo_depth:
+            fifo.append(TriggerToken(seq, t))
+            stats.triggers_accepted += 1
             status = "accepted"
         else:
-            self.stats.triggers_dropped += 1  # drop-newest keeps queued order
+            stats.triggers_dropped += 1  # drop-newest keeps queued order
             status = "dropped"
         if self.trace:
-            self.trace(TRIGGER, t, self.link_id, token.seq, status)
+            self.trace(TRIGGER, t, self.link_id, seq, status)
 
     def _fsm_advance(self, t: int, fabric: EventFabric, segment: BusSegment) -> int:
         st = self.state
@@ -419,8 +429,7 @@ class Link:
         return FsmState.MODIFY
 
     def _post(self, segment: BusSegment, t: int, kind: int, data: int = 0) -> None:
-        address = self.config.base_address + 4 * self.cmd.field
-        self.txn = BusTransaction(self.link_id, kind, address, data)
+        self.txn = BusTransaction(self.link_id, kind, self._addresses[self.pc], data)
         segment.post(self.txn, t)
 
     def _complete_program(self, t: int) -> None:

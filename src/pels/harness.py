@@ -74,11 +74,13 @@ these rules can change a report or a trace:
 - Fabric: `settle` scans the loopback only while an output is high. A
   trigger predicate (a link's or the baseline's) is evaluated only when
   a line of its mask rose (`EventFabric.rose`); else it cannot newly hold.
-- Links: an idle link with an empty FIFO, and one parked on the bus (its
-  transaction posted, not yet done: `done` is set by the bus stage after
-  the links), return their state without entering the FSM. A fetch takes
-  the loaded `Command`, whose encoding is the SCM word, so nothing is
-  decoded.
+- Links: a link parked on the bus (its transaction posted, not yet done:
+  `done` is set by the bus stage after the links), tested first, and an
+  idle link with an empty FIFO return their state without entering the
+  FSM. A disabled link's trigger mask is 0, so it never triggers and
+  stays idle. A fetch takes the loaded `Command`, whose encoding is the
+  SCM word, so nothing is decoded; each command's bus address is
+  computed once, when its program is loaded.
 - Bus: a segment is stepped only in the cycle its transfer completes,
   or while it is free with a request pending; `BusSegment.step` does
   nothing in any other cycle, as it grants only with no transfer in
@@ -584,19 +586,20 @@ class Simulation:
         stimuli_at = self._stimuli_by_cycle.get
         ticks = [(block, block.tick) for block in self._ticking]
         triggered_sensors = self._triggered_sensors
-        steps = [(link, link.step, segment) for link, segment in self._link_segments]
+        # [link, its bound step, its segment, fsm + 8 * pc of its last record]
+        steps = [[link, link.step, segment, -1]
+                 for link, segment in self._link_segments]
         links, segments = self.links, self.segments
         idle, fsm_names = FsmState.IDLE, FSM_STATE_NAMES
         stimulus_digest = _stimulus_digest(sc.stimuli, self.blocks)
         emit(HEADER, TRACE_FORMAT_VERSION, sc.source_digest, stimulus_digest,
              self.trace.level)
-        shown = [-1] * len(steps)  # fsm + 8 * pc of each link's last record
         stim_levels = 0
         end_reason = "clock_limit"
-        cycles = sc.clock_limit
+        cycles = clock_limit = sc.clock_limit
         last_inputs = last_outputs = 0  # of the last fabric record
         t = 0
-        while t < sc.clock_limit:
+        while t < clock_limit:
             for line, level in stimuli_at(t, ()):
                 if level:
                     stim_levels |= 1 << line
@@ -619,12 +622,13 @@ class Simulation:
                 entry[2] = level
 
             quiet = True
-            for i, (link, step, segment) in enumerate(steps):
+            for entry in steps:
+                link, step, segment, shown = entry
                 performed = step(t, fabric, segment)
                 if performed is not idle:
                     quiet = False
-                if full and shown[i] != (code := performed + 8 * link.pc):
-                    shown[i] = code  # states are 0..6
+                if full and shown != (code := performed + 8 * link.pc):
+                    entry[3] = code  # states are 0..6
                     emit(LINK, t, link.link_id, fsm_names[performed], link.pc)
 
             if baseline:

@@ -86,9 +86,20 @@ CATALOGUE = (
            "                self.wait_counter = cmd.operand + 1\n",
            "`wait n` holds the link for n cycles"),
     Mutant("fifo-one-deep", "core.py",
-           "if len(self.fifo) < self.fifo_depth:",
-           "if len(self.fifo) <= self.fifo_depth:",
+           "if len(fifo) < self.fifo_depth:",
+           "if len(fifo) <= self.fifo_depth:",
            "the trigger FIFO holds fifo_depth tokens and drops the newest"),
+    Mutant("disabled-link-triggers", "core.py",
+           "self._trigger_mask = config.event_mask if config.enabled else 0",
+           "self._trigger_mask = config.event_mask",
+           "a disabled link never triggers"),
+    Mutant("any-edge-ignores-previous-sample", "core.py",
+           "return before == 0 != now", "return now != 0",
+           "an `any` trigger rises only when no masked line was high before"),
+    Mutant("address-of-first-command", "core.py",
+           "BusTransaction(self.link_id, kind, self._addresses[self.pc], data)",
+           "BusTransaction(self.link_id, kind, self._addresses[0], data)",
+           "each bus command addresses its own register"),
     Mutant("toggle-as-or", "core.py",
            "OpCode.TOGGLE: xor}", "OpCode.TOGGLE: or_}",
            "`toggle` XORs its mask into the register"),
@@ -120,8 +131,7 @@ CATALOGUE = (
     Mutant("read-a-cycle-early", "bus.py",
            "txn.result = block.read(offset, t) & 0xFFFF_FFFF",
            "txn.result = block.read(offset, t - 1) & 0xFFFF_FFFF",
-           "a read samples its register in the completion cycle",
-           survivor="item 3 (independent reference kernel)"),
+           "a read samples its register in the completion cycle"),
     # -- clock loop (harness.py) --
     Mutant("jump-ignores-due-blocks", "harness.py",
            "        due = [b.due for b in self._ticking if b.due is not None]\n",
@@ -131,6 +141,10 @@ CATALOGUE = (
            "                    if link.state is not idle or link.fifo:\n",
            "                    if link.fifo:\n",
            "a link that is not IDLE steps again in the next cycle"),
+    Mutant("stimulus-digest-of-sorted-settings", "harness.py",
+           "sorted((*key, level) for key, level in levels.items())",
+           "sorted(stimuli)",
+           "the stimulus digest covers the level each setting leaves a line at"),
     Mutant("half-word-base-address", "harness.py",
            "    if address % 4:\n", "    if address % 2:\n",
            "link and peripheral base addresses are word aligned"),

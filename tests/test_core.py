@@ -301,9 +301,11 @@ def test_empty_program_completes_instantly():
     assert b.link.latency_samples == [1]  # idle again the cycle after the pop
 
 
-def test_disabled_link_is_isolated():
+def test_disabled_link_is_isolated(monkeypatch):
+    calls = _count_calls(monkeypatch, EventFabric, "rising_trigger")
     b = Bench([Command.set(0, 1)], config=cfg(enabled=False))
     b.run(20, stim_fn=lambda t: 1)
+    assert calls == []  # its mask line rose at cycle 0, yet no check ran
     assert b.link.stats.trigger_events == 0
     assert b.seg.grants == 0
     assert b.fabric.outputs == 0
@@ -312,7 +314,9 @@ def test_disabled_link_is_isolated():
 @pytest.mark.parametrize("mode", [ANY, ALL])
 def test_no_trigger_rises_unless_a_masked_line_rose(mode):
     # Exhaustive over 4 lines: the rise prefilter in Link.step and the
-    # harness's baseline check skip only calls that would return False.
+    # harness's baseline check skip only calls that would return False,
+    # and where a masked line rose, the edge rule agrees with the
+    # predicate evaluated on both samples.
     fab = EventFabric(4, 4, {})
     configs = [cfg(mask=mask, mode=mode) for mask in range(16)]
     for prev in range(16):
@@ -323,6 +327,9 @@ def test_no_trigger_rises_unless_a_masked_line_rose(mode):
             for c in configs:
                 if fab.rose & c.event_mask == 0:
                     assert not fab.rising_trigger(c)
+                else:
+                    assert fab.rising_trigger(c) == (
+                        evaluate_trigger(inputs, c) and not evaluate_trigger(prev, c))
 
 
 def _count_calls(monkeypatch, owner, name):
