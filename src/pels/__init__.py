@@ -14,7 +14,6 @@ from .core import (
     Link,
     LinkConfig,
     TriggerMode,
-    evaluate_trigger,
     execute_jump_if,
     execute_rmw,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "disassemble",
     "emit_trace",
     "encode",
-    "evaluate_trigger",
     "execute_jump_if",
     "execute_rmw",
     "load_scenario",

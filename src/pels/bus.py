@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Optional
 
 from .periph import RegisterBlock
-from .trace import BUS_DATA, BUS_DATA_ERROR, BUS_ERROR, BUS_GRANT, BUS_REQUEST
+from .trace import IDENT, INT, TEXT, WORD, Shape
 
 
 class TxnKind:
@@ -31,6 +31,20 @@ class TxnKind:
 
 
 TXN_KIND_NAMES = ("R", "W")
+
+
+def _bus_family(event: str, *tail: tuple) -> tuple[Shape, ...]:
+    """The trace shapes of one bus event, indexed by `TxnKind` code."""
+    return tuple(Shape("bus", 1, ("t", INT), ("seg", INT), ("event", IDENT, event),
+                       ("master", INT), ("rw", IDENT, name), ("addr", WORD), *tail)
+                 for name in TXN_KIND_NAMES)
+
+
+BUS_REQUEST = _bus_family("request")
+BUS_GRANT = _bus_family("grant", ("wait", INT))
+BUS_DATA = _bus_family("complete", ("data", WORD))
+BUS_ERROR = _bus_family("complete", ("error", TEXT))
+BUS_DATA_ERROR = _bus_family("complete", ("data", WORD), ("error", TEXT))
 
 
 class DecodeError(Exception):
@@ -125,8 +139,8 @@ class BusSegment:
         txn.issue_cycle = cycle
         self.pending[txn.master_id] = txn
         if self.trace:
-            self.trace(BUS_REQUEST, cycle, self.seg_id, "request", txn.master_id,
-                       TXN_KIND_NAMES[txn.kind], txn.address)
+            self.trace(BUS_REQUEST[txn.kind], cycle, self.seg_id, txn.master_id,
+                       txn.address)
 
     def step(self, t: int) -> None:
         """Advance one cycle: finalize a completing transfer, then grant."""
@@ -148,8 +162,8 @@ class BusSegment:
                 hist[wait] = hist.get(wait, 0) + 1
                 self.grants += 1
                 if self.trace:
-                    self.trace(BUS_GRANT, t, self.seg_id, "grant", granted,
-                               TXN_KIND_NAMES[txn.kind], txn.address, wait)
+                    self.trace(BUS_GRANT[txn.kind], t, self.seg_id, granted,
+                               txn.address, wait)
 
     def _finalize(self, txn: BusTransaction, t: int) -> None:
         read = txn.kind is TxnKind.READ
@@ -170,15 +184,14 @@ class BusSegment:
         txn.done = True
         if self.trace:
             # data: the word read or written; a failed read has none
-            head = (t, self.seg_id, "complete", txn.master_id,
-                    TXN_KIND_NAMES[txn.kind], txn.address)
+            kind, head = txn.kind, (t, self.seg_id, txn.master_id, txn.address)
             if not read:
                 if txn.error:
-                    self.trace(BUS_DATA_ERROR, *head, txn.data, txn.error)
+                    self.trace(BUS_DATA_ERROR[kind], *head, txn.data, txn.error)
                 else:
-                    self.trace(BUS_DATA, *head, txn.data)
+                    self.trace(BUS_DATA[kind], *head, txn.data)
             elif txn.error:
-                self.trace(BUS_ERROR, *head, txn.error)
+                self.trace(BUS_ERROR[kind], *head, txn.error)
             else:
-                self.trace(BUS_DATA, *head, txn.result)
+                self.trace(BUS_DATA[kind], *head, txn.result)
 

@@ -38,7 +38,8 @@ from . import isa
 from .asm import Program, validate_against_capacity
 from .bus import BusSegment, BusTransaction, TxnKind
 from .isa import ActionMode, Command, OpCode
-from .trace import ACTION, ERROR, PROGRAM, PROGRAM_LATENCY, TRIGGER
+from .trace import (ERROR, HEX, IDENT, INT, PROGRAM_ABORTED, PROGRAM_COMPLETE,
+                    PROGRAM_START, TRIGGER_ACCEPTED, TRIGGER_DROPPED, Shape)
 
 
 class TriggerMode:
@@ -59,6 +60,12 @@ class FsmState:
 
 FSM_STATE_NAMES = tuple(name for name in vars(FsmState) if name.isupper())
 ACTION_MODE_NAMES = tuple(mode.name for mode in ActionMode)
+# The trace families: `ACTION[mode]` and `LINK[state]` bake in the name.
+ACTION = tuple(Shape("action", 2, ("t", INT), ("link", INT), ("group", INT),
+                     ("mode", IDENT, name), ("out", HEX))
+               for name in ACTION_MODE_NAMES)
+LINK = tuple(Shape("link", 2, ("t", INT), ("link", INT), ("fsm", IDENT, name),
+                   ("pc", INT)) for name in FSM_STATE_NAMES)
 
 # The state that executes each opcode; the operation of each RMW opcode.
 _EXEC_STATE = {
@@ -90,16 +97,6 @@ class LinkConfig:
     trigger_mode: int  # a TriggerMode code
     base_address: int
     enabled: bool
-
-
-def evaluate_trigger(inputs: int, cfg: LinkConfig) -> bool:
-    """Masked trigger condition; an empty mask never fires in either mode."""
-    if cfg.event_mask == 0:
-        return False
-    selected = inputs & cfg.event_mask
-    if cfg.trigger_mode == TriggerMode.ALL_SELECTED_ACTIVE:
-        return selected == cfg.event_mask
-    return selected != 0
 
 
 def execute_rmw(old: int, opcode: int, mask: int) -> int:
@@ -174,8 +171,8 @@ class EventFabric:
 
     def rising_trigger(self, cfg: LinkConfig) -> bool:
         """True when the trigger predicate newly holds this cycle: it holds
-        on `inputs` and did not on the edge detector's previous sample,
-        as `evaluate_trigger` would tell for each.
+        on `inputs` and did not on the edge detector's previous sample:
+        every masked line high (`all`) or any (`any`), never for mask 0.
 
         Callers skip the call when `rose & cfg.event_mask` is 0, since it
         is then False (see `settle`); `Link.step` and the harness's
@@ -301,12 +298,12 @@ class Link:
         if len(fifo) < self.fifo_depth:
             fifo.append(TriggerToken(seq, t))
             stats.triggers_accepted += 1
-            status = "accepted"
+            shape = TRIGGER_ACCEPTED
         else:
             stats.triggers_dropped += 1  # drop-newest keeps queued order
-            status = "dropped"
+            shape = TRIGGER_DROPPED
         if self.trace:
-            self.trace(TRIGGER, t, self.link_id, seq, status)
+            self.trace(shape, t, self.link_id, seq)
 
     def _fsm_advance(self, t: int, fabric: EventFabric, segment: BusSegment) -> int:
         st = self.state
@@ -320,7 +317,7 @@ class Link:
             self.pc = 0
             self.loop_active = False
             if self.trace:
-                self.trace(PROGRAM, t, self.link_id, token.seq, "start")
+                self.trace(PROGRAM_START, t, self.link_id, token.seq)
             return self._do_fetch(t)
 
         if st is FsmState.FETCH:
@@ -392,8 +389,7 @@ class Link:
                 return
             self._last_effect = t
             if self.trace:
-                self.trace(ACTION, t, self.link_id, group, ACTION_MODE_NAMES[mode],
-                           fabric.outputs)
+                self.trace(ACTION[mode], t, self.link_id, group, fabric.outputs)
             self.pc += 1
         elif op == _JUMP_IF:  # field[11:8]: the Condition code; [7:0]: the target
             if execute_jump_if(self.capture_reg, cmd.field >> 8, cmd.operand):
@@ -442,8 +438,8 @@ class Link:
             completion = self._last_effect if self._last_effect is not None else t
             self.latency_samples.append(completion - token.cycle)
             if self.trace:
-                self.trace(PROGRAM_LATENCY, t, self.link_id, token.seq,
-                           "complete", completion - token.cycle)
+                self.trace(PROGRAM_COMPLETE, t, self.link_id, token.seq,
+                           completion - token.cycle)
         self._running = None
 
     def _abort(self, t: int, detail: str) -> int:
@@ -453,7 +449,7 @@ class Link:
         if self.trace:
             self.trace(ERROR, t, self.link_id, detail)
             if self._running is not None:
-                self.trace(PROGRAM, t, self.link_id, self._running.seq, "aborted")
+                self.trace(PROGRAM_ABORTED, t, self.link_id, self._running.seq)
         self.txn = None
         self.cmd = None
         self.loop_active = False

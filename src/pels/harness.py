@@ -95,9 +95,10 @@ model: it holds no master id and does not contend on the simulated bus;
 its transaction counts are reported separately.
 
 The trace schema, `Trace` and `emit_trace` live in `trace.py` and are
-re-exported here. `SimReport.trace` is the run's `Trace`: its records
-held in chunks, counted by `len` and iterated as the dicts their JSON
-lines encode.
+re-exported here. `SimReport.trace` is the run's `Trace`: its frozen
+chunks in an anonymous spill file, closed when the report is dropped,
+its open chunk in memory; `len` counts its records, and iterating it
+yields the dicts their JSON lines encode.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ from .asm import (
     validate_against_capacity,
 )
 from .bus import BusSegment
-from .core import (FSM_STATE_NAMES, TRIGGER_MODE_NAMES, EventFabric, FsmState,
-                   Link, LinkConfig, TriggerMode)
+from .core import (LINK, TRIGGER_MODE_NAMES, EventFabric, FsmState, Link,
+                   LinkConfig, TriggerMode)
 from .isa import ACTION_GROUP_WIDTH
 from .periph import (
     BaselineCpu,
@@ -131,8 +132,8 @@ from .periph import (
     Timer,
 )
 # Trace, emit_trace and the two constants are re-exported as harness names.
-from .trace import (BASELINE_HANDLED, BASELINE_IRQ, END, FABRIC, HEADER, LINK,
-                    STIMULUS, TRACE_FORMAT_VERSION, TRACE_LEVELS, Trace, emit_trace)
+from .trace import (BASELINE_HANDLED, BASELINE_IRQ, END, FABRIC, HEADER, STIMULUS,
+                    TRACE_FORMAT_VERSION, TRACE_LEVELS, Trace, emit_trace)
 
 MAX_LINKS = 8
 MAX_FIFO_DEPTH = 16  # a link's trigger FIFO holds 1..MAX_FIFO_DEPTH tokens
@@ -590,7 +591,7 @@ class Simulation:
         steps = [[link, link.step, segment, -1]
                  for link, segment in self._link_segments]
         links, segments = self.links, self.segments
-        idle, fsm_names = FsmState.IDLE, FSM_STATE_NAMES
+        idle = FsmState.IDLE
         stimulus_digest = _stimulus_digest(sc.stimuli, self.blocks)
         emit(HEADER, TRACE_FORMAT_VERSION, sc.source_digest, stimulus_digest,
              self.trace.level)
@@ -629,19 +630,18 @@ class Simulation:
                     quiet = False
                 if full and shown != (code := performed + 8 * link.pc):
                     entry[3] = code  # states are 0..6
-                    emit(LINK, t, link.link_id, fsm_names[performed], link.pc)
+                    emit(LINK[performed], t, link.link_id, link.pc)
 
             if baseline:
                 if (fabric.rose & self._baseline_cfg.event_mask
                         and fabric.rising_trigger(self._baseline_cfg)):
                     completion = baseline.handle_event(t)
                     if full:
-                        emit(BASELINE_IRQ, t, "irq", completion)
+                        emit(BASELINE_IRQ, t, completion)
                 if baseline.pending:
                     for event_cycle, completion in baseline.step(t):
                         if full:
-                            emit(BASELINE_HANDLED, t, "handled",
-                                 completion - event_cycle)
+                            emit(BASELINE_HANDLED, t, completion - event_cycle)
 
             if full and (fabric.inputs != last_inputs
                          or fabric.outputs != last_outputs):

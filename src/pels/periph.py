@@ -276,7 +276,3 @@ class BaselineCpu:
             self.shared_memory_fetches += self.model.memory_fetches_per_handler
             self.bus_transactions += self.model.peripheral_txns_per_event
         return finished
-
-    @property
-    def idle(self) -> bool:
-        return not self.pending

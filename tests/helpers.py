@@ -9,12 +9,29 @@ from pathlib import Path
 
 from pels import isa
 from pels.asm import Program, validate_program
-from pels.core import EventFabric, FsmState, Link
+from pels.core import EventFabric, FsmState, Link, LinkConfig, TriggerMode
 from pels.harness import Simulation
 from pels.periph import Gpio, Regs, Sensor, Timer
 from pels.isa import ActionMode, Command, Condition, OpCode
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+def evaluate_trigger(inputs: int, cfg: LinkConfig) -> bool:
+    """The masked trigger predicate, stated plainly: every masked line
+    high (`all`) or at least one (`any`); an empty mask never fires in
+    either mode. `EventFabric.rising_trigger` is checked against it."""
+    if cfg.event_mask == 0:
+        return False
+    selected = inputs & cfg.event_mask
+    if cfg.trigger_mode == TriggerMode.ALL_SELECTED_ACTIVE:
+        return selected == cfg.event_mask
+    return selected != 0
+
+
+def baseline_idle(cpu) -> bool:
+    """No baseline handler is in progress."""
+    return not cpu.pending
+
 
 _REGISTER_OPS = [OpCode.WRITE, OpCode.SET, OpCode.CLEAR, OpCode.TOGGLE, OpCode.CAPTURE]
 
@@ -197,7 +214,7 @@ class PerCycleSimulation(Simulation):
                 and all(link.idle for link in self.links)
                 and all(segment.in_flight is None and not segment.pending
                         for segment in self.segments)
-                and (self.baseline is None or self.baseline.idle)
+                and (self.baseline is None or baseline_idle(self.baseline))
                 and not any(_active(b) for b in self.blocks)):
             return None
         return t + 1

@@ -148,10 +148,21 @@ CATALOGUE = (
     Mutant("half-word-base-address", "harness.py",
            "    if address % 4:\n", "    if address % 2:\n",
            "link and peripheral base addresses are word aligned"),
-    # -- trace (trace.py) --
+    # -- trace (trace.py, and the LINK family in core.py) --
     Mutant("word-without-padding", "trace.py",
            "WORD = '\"0x%08x\"'", "WORD = '\"0x%x\"'",
            "a bus address or data word is written as 8 hex digits"),
+    Mutant("frozen-chunk-lost", "trace.py",
+           "        lines = _render(shapes, self._values)\n",
+           "        lines = b\"\"\n",
+           "every frozen chunk's lines reach the spill"),
+    Mutant("frozen-chunk-written-twice", "trace.py",
+           ".write(lines) != len(lines):", ".write(lines * 2) != 2 * len(lines):",
+           "a frozen chunk's lines reach the spill once"),
+    Mutant("family-member-misnamed", "core.py",
+           '("pc", INT)) for name in FSM_STATE_NAMES)',
+           '("pc", INT)) for name in sorted(FSM_STATE_NAMES))',
+           "`LINK[state]` writes the name of that FSM state"),
     # -- assembler (asm.py) --
     Mutant("loop-on-loop-target-not-nested", "asm.py",
            "if j != i and t <= j <= i:", "if j != i and t < j <= i:",

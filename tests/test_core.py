@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import evaluate_trigger
 from pels import isa
 from pels.asm import CapacityExceeded, Program
 from pels.bus import BusSegment
@@ -12,7 +13,6 @@ from pels.core import (
     LinkBusy,
     LinkConfig,
     TriggerMode,
-    evaluate_trigger,
     execute_capture,
     execute_jump_if,
     execute_rmw,

@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import baseline_idle
 from pels.periph import BaselineCpu, BaselineCpuModel, Gpio, Sensor, Timer
 
 
@@ -317,7 +318,7 @@ def test_baseline_latency_has_no_jitter():
     for t in range(0, 130):
         cpu.step(t)
     assert cpu.latency_samples == [16, 16, 16, 16]
-    assert cpu.idle
+    assert baseline_idle(cpu)
 
 
 def test_baseline_activity_scales_with_events():
